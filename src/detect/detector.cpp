@@ -77,25 +77,19 @@ void BitmapDetector::backfill(double value, std::size_t count) {
   while (values_.size() > cap) values_.pop_front();
   // Constant stretches produce zero-distance scores; reflect a few of them
   // in the score history so the adaptive threshold stays calibrated.
+  // values_ is fixed from here on, so one score stands for all of them.
+  if (values_.size() < params_.min_history) return;
+  const double score = bitmap_distance();
   std::size_t score_fill = std::min<std::size_t>(count, 8);
   for (std::size_t i = 0; i < score_fill; ++i) {
-    if (values_.size() >= params_.min_history) {
-      scores_.push_back(bitmap_distance());
-      if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
-    }
+    scores_.push_back(score);
+    if (scores_.size() > kScoreHistoryCap) scores_.pop_front();
   }
 }
 
-int BitmapDetector::discretize(double value) const {
-  // z-normalize against the retained window, then apply the standard SAX
-  // breakpoints for a 4-symbol alphabet: -0.6745, 0, 0.6745.
-  double mean = 0.0;
-  for (double v : values_) mean += v;
-  mean /= static_cast<double>(values_.size());
-  double var = 0.0;
-  for (double v : values_) var += (v - mean) * (v - mean);
-  var /= static_cast<double>(values_.size());
-  double sd = std::sqrt(var);
+int BitmapDetector::discretize(double value, double mean, double sd) const {
+  // z-normalize against the retained window's moments, then apply the
+  // standard SAX breakpoints for a 4-symbol alphabet: -0.6745, 0, 0.6745.
   double z = sd > 1e-12 ? (value - mean) / sd : 0.0;
   if (params_.alphabet == 4) {
     if (z < -0.6745) return 0;
@@ -115,10 +109,18 @@ double BitmapDetector::bitmap_distance() const {
   std::size_t cells = 1;
   for (std::size_t i = 0; i < word; ++i) cells *= alphabet;
 
-  // Discretize the full retained window once.
+  // Discretize the full retained window once, against its mean and sd
+  // computed once here: a score costs O(W), not O(W) per value.
+  double mean = 0.0;
+  for (double v : values_) mean += v;
+  mean /= static_cast<double>(values_.size());
+  double var = 0.0;
+  for (double v : values_) var += (v - mean) * (v - mean);
+  var /= static_cast<double>(values_.size());
+  const double sd = std::sqrt(var);
   std::vector<int> symbols;
   symbols.reserve(values_.size());
-  for (double v : values_) symbols.push_back(discretize(v));
+  for (double v : values_) symbols.push_back(discretize(v, mean, sd));
 
   std::size_t lead = std::min(params_.lead_window, symbols.size());
   std::size_t lag_begin = 0;

@@ -228,7 +228,8 @@ class BitmapDetector final : public Detector {
   static constexpr std::size_t kScoreHistoryCap = 128;
 
  private:
-  int discretize(double value) const;
+  // SAX symbol of `value` against the window moments `mean` and `sd`.
+  int discretize(double value, double mean, double sd) const;
   double bitmap_distance() const;
 
   BitmapParams params_;

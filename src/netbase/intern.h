@@ -39,7 +39,6 @@
 #include <shared_mutex>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <vector>
 
 #include "netbase/asn.h"
@@ -87,23 +86,26 @@ struct CommSetHash {
 };
 
 struct StringHash {
-  using is_transparent = void;
   std::size_t operator()(std::string_view s) const noexcept {
     return std::hash<std::string_view>{}(s);
   }
 };
 struct StringEq {
-  using is_transparent = void;
   bool operator()(std::string_view a, std::string_view b) const noexcept {
     return a == b;
   }
 };
 
-// One intern domain: content→id map under a shared_mutex, id→content via a
-// fixed two-level chunk table whose slots are published with release stores
-// so resolution never takes the lock. Chunks are allocated on demand and
-// never freed or moved, which is what makes `resolve()`'s returned reference
-// stable for the Interner's lifetime.
+// One intern domain. Content lives once, in a fixed two-level chunk table
+// whose slots are published with release stores, so id→content resolution
+// never takes the lock. Chunks are allocated on demand and never freed or
+// moved, which is what makes `resolve()`'s returned reference stable for the
+// Interner's lifetime. Content→id lookup goes through an open-addressed
+// table of (id, hash) slots under a shared_mutex: it compares content by
+// resolving ids through the chunks, so it holds no second copy of the
+// content, and it is one flat allocation, so a growing dictionary does not
+// scatter per-value index nodes through the heap that the engine's
+// per-window state is allocated from.
 template <class T, class Hash, class Eq = std::equal_to<T>>
 class Domain {
  public:
@@ -117,14 +119,15 @@ class Domain {
 
   template <class U>
   std::uint32_t intern(const U& value) {
+    const auto hash = static_cast<std::uint32_t>(Hash{}(value));
     {
       std::shared_lock lock(mutex_);
-      auto it = ids_.find(value);
-      if (it != ids_.end()) return it->second;
+      std::uint32_t found = find(value, hash);
+      if (found != kInvalidInternId) return found;
     }
     std::unique_lock lock(mutex_);
-    auto it = ids_.find(value);
-    if (it != ids_.end()) return it->second;  // lost the race
+    std::uint32_t found = find(value, hash);
+    if (found != kInvalidInternId) return found;  // lost the race
     std::uint32_t id = size_.load(std::memory_order_relaxed);
     std::size_t chunk_index = id >> kChunkBits;
     if (chunk_index >= kMaxChunks) {
@@ -136,7 +139,9 @@ class Domain {
       chunks_[chunk_index].store(chunk, std::memory_order_release);
     }
     chunk[id & (kChunkSize - 1)] = T(value);
-    ids_.emplace(T(value), id);
+    // At most half full, so probe runs stay short.
+    if (2 * (std::size_t{id} + 1) > slots_.size()) grow();
+    place(Slot{id, hash});
     // Release so a reader that learns `id` through any synchronizing handoff
     // (or through this counter) also sees the entry bytes.
     size_.store(id + 1, std::memory_order_release);
@@ -161,8 +166,42 @@ class Domain {
   Domain& operator=(const Domain&) = delete;
 
  private:
+  // The low 32 bits of the content hash ride along, so a probe compares
+  // content only on a hash match and growing never re-hashes content.
+  struct Slot {
+    std::uint32_t id = kInvalidInternId;
+    std::uint32_t hash = 0;
+  };
+
+  // Linear probing over a power-of-two table; kInvalidInternId when absent.
+  template <class U>
+  std::uint32_t find(const U& value, std::uint32_t hash) const {
+    if (slots_.empty()) return kInvalidInternId;
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t i = hash & mask;; i = (i + 1) & mask) {
+      const Slot& slot = slots_[i];
+      if (slot.id == kInvalidInternId) return kInvalidInternId;
+      if (slot.hash == hash && Eq{}(value, resolve(slot.id))) return slot.id;
+    }
+  }
+  void place(Slot slot) {
+    const std::size_t mask = slots_.size() - 1;
+    std::size_t i = slot.hash & mask;
+    while (slots_[i].id != kInvalidInternId) i = (i + 1) & mask;
+    slots_[i] = slot;
+  }
+  void grow() {
+    // Allocate before touching slots_, so a failed allocation leaves the
+    // index intact.
+    std::vector<Slot> old(slots_.empty() ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    for (const Slot& slot : old) {
+      if (slot.id != kInvalidInternId) place(slot);
+    }
+  }
+
   mutable std::shared_mutex mutex_;
-  std::unordered_map<T, std::uint32_t, Hash, Eq> ids_;
+  std::vector<Slot> slots_;  // guarded by mutex_
   std::atomic<T*> chunks_[kMaxChunks] = {};
   std::atomic<std::uint32_t> size_{0};
 };

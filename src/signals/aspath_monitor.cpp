@@ -69,7 +69,7 @@ void AsPathMonitor::watch(const CorpusView& view, PotentialIndex& index) {
     by_dst_[view.key.dst].push_back(raw);
     dst_index_.add(view.key.dst);
     by_potential_[raw->id] = raw;
-    auto [num, den] = counts(*raw);
+    auto [num, den] = table_counts(*raw);
     raw->baseline_ratio =
         den > 0 ? static_cast<double>(num) / static_cast<double>(den) : 1.0;
     // Seed the series with a warm history of the standing ratio: the feed
@@ -128,19 +128,42 @@ bool AsPathMonitor::path_counts(const Entry& entry, const AsPath& path,
   return true;
 }
 
-std::pair<int, int> AsPathMonitor::counts(const Entry& entry) const {
+template <class Standing>
+std::pair<int, int> AsPathMonitor::counts(const Entry& entry,
+                                          Standing standing) {
   int num = 0;
   int den = 0;
-  for (bgp::VpId vp : entry.v0) {
-    const bgp::VpRoute* standing = context_.table->route(vp, entry.pair.dst);
-    if (standing != nullptr && !standing->path.empty()) {
-      path_counts(entry, standing->path, num, den);
+  for (std::size_t k = 0; k < entry.v0.size(); ++k) {
+    const bgp::VpRoute* route = standing(k);
+    if (route != nullptr && !route->path.empty()) {
+      path_counts(entry, route->path, num, den);
     }
     for (const auto& [uvp, path] : entry.window_updates) {
-      if (uvp == vp && !path.empty()) path_counts(entry, path, num, den);
+      if (uvp == entry.v0[k] && !path.empty()) {
+        path_counts(entry, path, num, den);
+      }
     }
   }
   return {num, den};
+}
+
+std::pair<int, int> AsPathMonitor::table_counts(const Entry& entry) const {
+  return counts(entry, [&](std::size_t k) {
+    return context_.table->route(entry.v0[k], entry.pair.dst);
+  });
+}
+
+void AsPathMonitor::resolve_standing(const std::vector<Entry*>& work) {
+  for (Entry* entry : work) {
+    entry->standing_at = standing_.size();
+    for (bgp::VpId vp : entry->v0) {
+      const std::uint64_t key =
+          (std::uint64_t{vp} << 32) | entry->pair.dst.value();
+      auto [it, fresh] = standing_index_.try_emplace(key, nullptr);
+      if (fresh) it->second = context_.table->route(vp, entry->pair.dst);
+      standing_.push_back(it->second);
+    }
+  }
 }
 
 void AsPathMonitor::fill_meta(const Entry& entry, double score,
@@ -157,7 +180,9 @@ AsPathMonitor::EvalResult AsPathMonitor::evaluate(Entry* entry,
                                                   std::int64_t window,
                                                   TimePoint window_end) {
   EvalResult result;
-  auto [num, den] = counts(*entry);
+  auto [num, den] = counts(*entry, [&](std::size_t k) {
+    return standing_[entry->standing_at + k];
+  });
   entry->window_updates.clear();
   if (den == 0) return result;  // missing window (§4.1.2)
   double ratio = static_cast<double>(num) / static_cast<double>(den);
@@ -222,6 +247,9 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
   dirty.swap(dirty_);
   std::vector<Entry*> hot;
   hot.swap(hot_);
+  // An entry in both lists is resolved twice; both slices are identical.
+  resolve_standing(dirty);
+  resolve_standing(hot);
   std::vector<EvalResult> dirty_results =
       runtime::parallel_map(pool_, dirty, [&](Entry* entry) {
         entry->dirty = false;
@@ -236,12 +264,16 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
         return evaluate(entry, /*from_update=*/false, window, window_end);
       });
   merge(hot, hot_results);
+  standing_.clear();
+  standing_index_.clear();
   // Deduplicated rebuild: hot_ may have gained entries inside evaluate().
+  // The first sight of an entry in this close stamps it; later sights skip.
   std::vector<Entry*> requeued;
   requeued.swap(hot_);
+  ++close_seq_;
   auto enqueue = [&](Entry* entry) {
-    if (entry->hot_windows > 0 &&
-        std::find(hot_.begin(), hot_.end(), entry) == hot_.end()) {
+    if (entry->hot_windows > 0 && entry->hot_stamp != close_seq_) {
+      entry->hot_stamp = close_seq_;
       hot_.push_back(entry);
     }
   };
@@ -249,6 +281,13 @@ std::vector<StalenessSignal> AsPathMonitor::close_window(
   for (Entry* entry : dirty) enqueue(entry);
   for (Entry* entry : hot) enqueue(entry);
   return signals;
+}
+
+std::vector<PotentialId> AsPathMonitor::hot_queue() const {
+  std::vector<PotentialId> ids;
+  ids.reserve(hot_.size());
+  for (const Entry* entry : hot_) ids.push_back(entry->id);
+  return ids;
 }
 
 void AsPathMonitor::save_state(store::Encoder& enc) const {
@@ -376,7 +415,7 @@ bool AsPathMonitor::reverted(PotentialId id) const {
   const Entry& entry = *it->second;
   // Reverted when the standing routes reproduce the ratio seen at watch
   // time (the window-update buffer is empty between windows).
-  auto [num, den] = counts(entry);
+  auto [num, den] = table_counts(entry);
   if (den == 0) return false;
   double ratio = static_cast<double>(num) / static_cast<double>(den);
   return std::abs(ratio - entry.baseline_ratio) < 1e-9;

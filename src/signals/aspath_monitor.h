@@ -10,8 +10,10 @@
 // persistent changes keep signalling (§4.1.2).
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <unordered_map>
+#include <vector>
 
 #include "detect/series.h"
 #include "signals/bgp_context.h"
@@ -39,6 +41,8 @@ class AsPathMonitor final : public BgpMonitor {
   bool reverted(PotentialId id) const override;
 
   std::size_t entry_count() const { return entries_.size(); }
+  // Potential ids of the hot queue, in the order the next close walks it.
+  std::vector<PotentialId> hot_queue() const;
 
   // Checkpoint support. Entries are serialized sorted by potential id with
   // every dynamic field; the index vectors (by_pair_/by_dst_/dirty_/hot_)
@@ -72,11 +76,21 @@ class AsPathMonitor final : public BgpMonitor {
     // buffering an update is an id copy, and the checkpoint codec resolves
     // to content on write (bytes unchanged) / re-interns on read.
     std::vector<std::pair<bgp::VpId, InternedPath>> window_updates;
+    // Close-transient, never serialized: where this entry's standing routes
+    // start in standing_, and the close that last requeued it into hot_.
+    std::size_t standing_at = 0;
+    std::uint64_t hot_stamp = 0;
   };
 
   // Computes (match, intersect) counts for `entry` from standing routes and
-  // its buffered window updates.
-  std::pair<int, int> counts(const Entry& entry) const;
+  // its buffered window updates; `standing(k)` is the standing route of
+  // entry.v0[k], or null.
+  template <class Standing>
+  static std::pair<int, int> counts(const Entry& entry, Standing standing);
+  // counts() against the table's published routes (watch / reverted).
+  std::pair<int, int> table_counts(const Entry& entry) const;
+  // Fills standing_ for every entry of `work` (serial; see standing_).
+  void resolve_standing(const std::vector<Entry*>& work);
   static bool path_counts(const Entry& entry, const AsPath& path, int& num,
                           int& den);
   void fill_meta(const Entry& entry, double score, SignalMeta& meta) const;
@@ -102,6 +116,16 @@ class AsPathMonitor final : public BgpMonitor {
   std::vector<Entry*> dirty_;
   std::vector<Entry*> hot_;
   std::unordered_map<PotentialId, Entry*> by_potential_;
+  // Per-close route table: standing_[e->standing_at + k] is the published
+  // route of (e->v0[k], e->pair.dst) for each entry e being evaluated. It is
+  // resolved serially before the parallel phases, one table lookup per
+  // distinct (vp, dst) via standing_index_. The published epoch cannot
+  // change during a close (bgp_context.h), so this is exactly what per-entry
+  // lookups would return. Cleared when the close ends; never checkpointed.
+  std::vector<const bgp::VpRoute*> standing_;
+  std::unordered_map<std::uint64_t, const bgp::VpRoute*> standing_index_;
+  // Counts closes; an entry is in the rebuilt hot_ iff hot_stamp matches.
+  std::uint64_t close_seq_ = 0;
 };
 
 }  // namespace rrr::signals

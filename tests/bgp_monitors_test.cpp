@@ -3,6 +3,14 @@
 // simulator, so every suppression rule has a deterministic witness.
 #include <gtest/gtest.h>
 
+#include <array>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+
+#include "detect/detector.h"
+#include "detect/series.h"
 #include "signals/aspath_monitor.h"
 #include "signals/burst_monitor.h"
 #include "signals/community_monitor.h"
@@ -115,6 +123,170 @@ TEST_F(BgpMonitorFixture, AsPathMonitorPinsV0AndDetectsSuffixShift) {
     }
   }
   EXPECT_TRUE(flagged);
+}
+
+// The AS-path close resolves standing routes once per distinct (vp, dst)
+// per close. Its signals must be what per-entry table lookups give. Two
+// pairs share the destination, so their AS-20 entries share every
+// (vp, dst). Windows with updates from VPs 0-1 make the entries dirty,
+// often while they are still hot; other windows evaluate them from the hot
+// queue only, sometimes while VP 3's updates dirty the pairs' other
+// entries. VP 2 changes only between closes, with no update: a /24 route
+// is installed over its /16 and later withdrawn, so the route object a
+// lookup returns changes. The next close and reverted() must both see
+// each change. The oracle recomputes each entry's P_ratio from the table
+// and the window's updates, tracks the entry's hot windows, and feeds its
+// own Bitmap series.
+TEST_F(BgpMonitorFixture, AsPathCloseMatchesPerEntryLookups) {
+  AsPathMonitor monitor(context_);
+  monitor.watch(view_, index_);
+  CorpusView other = view_;
+  other.key = tr::PairKey{8, view_.key.dst};
+  // Same entry hop (AS 20) but the suffix {20, 35, 40}: a VP's route
+  // matches exactly one of the two pairs.
+  other.processed.as_path = {Asn(11), Asn(20), Asn(35), Asn(40)};
+  monitor.watch(other, index_);
+
+  auto via = [](bgp::VpId vp, int mid) {
+    return AsPath{Asn(900 + vp), Asn(20), Asn(mid), Asn(40)};
+  };
+  struct Oracle {
+    tr::PairKey pair;
+    int mid;  // the middle AS of this pair's suffix
+    detect::LazySeries series{std::make_unique<detect::BitmapDetector>(),
+                              detect::GapPolicy::kCarryLast};
+    double baseline;
+    PotentialId id = kNoPotential;
+    int hot_windows = 0;
+  };
+  std::vector<Oracle> oracles;
+  oracles.push_back({.pair = view_.key, .mid = 30, .baseline = 1.0});
+  oracles.push_back({.pair = other.key, .mid = 35, .baseline = 0.0});
+  for (Oracle& oracle : oracles) {
+    oracle.series.seed(kWatchWindow, oracle.baseline, 24);
+    // The AS-20 entry is the pair's first relation (hops in path order).
+    oracle.id = index_.relations_of(oracle.pair).front().id;
+  }
+  std::array<int, 3> standing = {30, 30, 30};
+  auto ratio_of = [&](const Oracle& oracle,
+                      const std::vector<bgp::BgpRecord>& updates) {
+    int num = 0;
+    for (int mid : standing) num += mid == oracle.mid ? 1 : 0;
+    for (const bgp::BgpRecord& record : updates) {
+      num += static_cast<int>(record.as_path[2].number()) == oracle.mid;
+    }
+    return static_cast<double>(num) /
+           static_cast<double>(standing.size() + updates.size());
+  };
+
+  std::mt19937 rng(11);
+  int signals_seen = 0;
+  int hot_only_evaluations = 0;
+  for (std::int64_t w = kWatchWindow + 1; w < kWatchWindow + 160; ++w) {
+    // Level shifts in which middle AS the updates carry.
+    int phase_mid = (w / 17) % 2 == 0 ? 30 : 35;
+    std::vector<bgp::BgpRecord> updates;
+    if (rng() % 3 != 0) {
+      for (bgp::VpId vp : {0u, 1u}) {
+        if (rng() % 2 == 0) continue;
+        int mid = rng() % 5 == 0 ? 65 - phase_mid : phase_mid;
+        updates.push_back(update(vp, via(vp, mid)));
+      }
+    }
+    for (const bgp::BgpRecord& record : updates) {
+      monitor.on_record(dispatch(record), w);
+      table_.apply(record);
+      standing[record.vp] = static_cast<int>(record.as_path[2].number());
+    }
+    if (rng() % 2 == 0) {  // VP 3 re-announces: only the v0 = {3} entries
+      bgp::BgpRecord record = update(3, {Asn(903), Asn(30), Asn(40)});
+      monitor.on_record(dispatch(record), w);
+      table_.apply(record);
+    }
+    std::vector<StalenessSignal> signals =
+        monitor.close_window(w, TimePoint(w * 900));
+    for (std::size_t o = 0; o < oracles.size(); ++o) {
+      Oracle& oracle = oracles[o];
+      // The close's two phases: dirty entries first (with the window's
+      // updates), then the hot queue as it stood before this close (from
+      // standing routes alone).
+      const bool hot = oracle.hot_windows > 0;
+      detect::Judgement want;
+      if (!updates.empty()) {
+        want = oracle.series.feed(w, ratio_of(oracle, updates));
+        oracle.hot_windows = 8;
+      }
+      if (hot) {
+        --oracle.hot_windows;
+        double ratio = ratio_of(oracle, {});
+        bool moved = ratio != oracle.series.last_value();
+        if (updates.empty()) {
+          want = oracle.series.feed(w, ratio);
+          ++hot_only_evaluations;
+        }
+        if (moved) oracle.hot_windows = 8;
+      }
+      std::vector<const StalenessSignal*> got;
+      for (const StalenessSignal& signal : signals) {
+        if (signal.pair == oracle.pair) got.push_back(&signal);
+      }
+      ASSERT_EQ(got.size(), want.outlier ? 1u : 0u)
+          << "window " << w << " oracle " << o;
+      if (want.outlier) {
+        ++signals_seen;
+        EXPECT_EQ(got[0]->potential, oracle.id);
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(got[0]->meta.deviation),
+                  std::bit_cast<std::uint64_t>(std::abs(want.score)));
+      }
+    }
+    // Absorb a change with no dispatched update: the next close must read
+    // it as VP 2's standing route, and reverted() must see it now.
+    if (w % 5 == 0) {
+      bgp::BgpRecord record = update(2, via(2, 35));
+      record.prefix = *Prefix::parse("10.1.0.0/24");
+      if (standing[2] == 35) record.type = bgp::RecordType::kWithdrawal;
+      table_.apply(record);
+      standing[2] = standing[2] == 35 ? 30 : 35;
+    }
+    for (const Oracle& oracle : oracles) {
+      EXPECT_EQ(monitor.reverted(oracle.id),
+                std::abs(ratio_of(oracle, {}) - oracle.baseline) < 1e-9)
+          << "window " << w;
+    }
+  }
+  EXPECT_GT(signals_seen, 0);
+  EXPECT_GT(hot_only_evaluations, 0);
+}
+
+// The rebuilt hot queue holds each hot entry once, newly hot entries of
+// the close first, then dirty entries, then the previous hot queue.
+TEST_F(BgpMonitorFixture, AsPathHotQueueIsDedupedInWorkListOrder) {
+  AsPathMonitor monitor(context_);
+  monitor.watch(view_, index_);
+  const auto& relations = index_.relations_of(view_.key);
+  ASSERT_EQ(relations.size(), 2u);
+  PotentialId at20 = relations[0].id;  // v0 = {0, 1, 2}
+  PotentialId at30 = relations[1].id;  // v0 = {3}
+  auto touch = [&](bgp::VpId vp, AsPath path, std::int64_t w) {
+    bgp::BgpRecord record = update(vp, std::move(path));
+    monitor.on_record(dispatch(record), w);
+    table_.apply(record);
+    monitor.close_window(w, TimePoint(w * 900));
+  };
+  std::int64_t w = kWatchWindow + 1;
+  touch(3, {Asn(903), Asn(30), Asn(40)}, w++);
+  EXPECT_EQ(monitor.hot_queue(), (std::vector<PotentialId>{at30}));
+  // AS 20's entry turns hot; AS 30's stays hot from the previous queue.
+  touch(0, {Asn(900), Asn(20), Asn(30), Asn(40)}, w++);
+  EXPECT_EQ(monitor.hot_queue(), (std::vector<PotentialId>{at20, at30}));
+  // AS 30's entry is dirty and hot in one close: queued once, dirty first.
+  touch(3, {Asn(903), Asn(30), Asn(40)}, w++);
+  EXPECT_EQ(monitor.hot_queue(), (std::vector<PotentialId>{at30, at20}));
+  // Quiet closes keep the order until both entries' 8 hot windows run out.
+  for (int i = 0; i < 6; ++i, ++w) monitor.close_window(w, TimePoint(w * 900));
+  EXPECT_EQ(monitor.hot_queue(), (std::vector<PotentialId>{at30, at20}));
+  monitor.close_window(w, TimePoint(w * 900));
+  EXPECT_TRUE(monitor.hot_queue().empty());
 }
 
 TEST_F(BgpMonitorFixture, CommunityChangeSamePathSignals) {

@@ -1,8 +1,17 @@
 // Unit tests for the outlier detectors and series helpers (src/detect).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "detect/detector.h"
 #include "detect/series.h"
+#include "store/serial.h"
 
 namespace rrr::detect {
 namespace {
@@ -90,6 +99,240 @@ TEST(Bitmap, BackfillKeepsThresholdCalibrated) {
     if (detector.update(0.0).outlier) flagged = true;
   }
   EXPECT_TRUE(flagged);
+}
+
+// The Bitmap scorer as it was before the window moments were hoisted out of
+// discretize(): every value recomputes the window mean and sd, O(W) per
+// value and O(W^2) per score. Kept here as the oracle the one-pass scorer
+// must match bit for bit, including its state bytes.
+class ReferenceBitmap {
+ public:
+  explicit ReferenceBitmap(const BitmapParams& params)
+      : params_(params),
+        values_(params.lag_window + params.lead_window),
+        scores_(BitmapDetector::kScoreHistoryCap) {}
+
+  Judgement update(double value) {
+    Judgement judgement;
+    values_.push_back(value);
+    std::size_t cap = params_.lag_window + params_.lead_window;
+    if (values_.size() > cap) values_.pop_front();
+    if (values_.size() >= params_.min_history) {
+      double score = bitmap_distance();
+      judgement.score = score;
+      if (scores_.size() >= 8) {
+        double mean = 0.0;
+        for (double s : scores_) mean += s;
+        mean /= static_cast<double>(scores_.size());
+        double var = 0.0;
+        for (double s : scores_) var += (s - mean) * (s - mean);
+        var /= static_cast<double>(scores_.size());
+        double sd = std::sqrt(var);
+        double threshold =
+            mean + params_.threshold_sigmas * std::max(sd, 1e-6);
+        judgement.outlier = score > threshold && score > 1e-9;
+      }
+      if (!judgement.outlier) {
+        scores_.push_back(score);
+        if (scores_.size() > BitmapDetector::kScoreHistoryCap) {
+          scores_.pop_front();
+        }
+      }
+    }
+    if (judgement.outlier && params_.drop_outliers_from_history) {
+      values_.pop_back();
+    }
+    return judgement;
+  }
+
+  void backfill(double value, std::size_t count) {
+    std::size_t cap = params_.lag_window + params_.lead_window;
+    count = std::min(count, cap);
+    for (std::size_t i = 0; i < count; ++i) values_.push_back(value);
+    while (values_.size() > cap) values_.pop_front();
+    std::size_t score_fill = std::min<std::size_t>(count, 8);
+    for (std::size_t i = 0; i < score_fill; ++i) {
+      if (values_.size() >= params_.min_history) {
+        scores_.push_back(bitmap_distance());
+        if (scores_.size() > BitmapDetector::kScoreHistoryCap) {
+          scores_.pop_front();
+        }
+      }
+    }
+  }
+
+  void save_state(store::Encoder& enc) const {
+    save_ring(enc, values_);
+    save_ring(enc, scores_);
+  }
+  void load_state(store::Decoder& dec) {
+    load_ring(dec, values_);
+    load_ring(dec, scores_);
+  }
+
+ private:
+  int discretize(double value) const {
+    double mean = 0.0;
+    for (double v : values_) mean += v;
+    mean /= static_cast<double>(values_.size());
+    double var = 0.0;
+    for (double v : values_) var += (v - mean) * (v - mean);
+    var /= static_cast<double>(values_.size());
+    double sd = std::sqrt(var);
+    double z = sd > 1e-12 ? (value - mean) / sd : 0.0;
+    if (params_.alphabet == 4) {
+      if (z < -0.6745) return 0;
+      if (z < 0.0) return 1;
+      if (z < 0.6745) return 2;
+      return 3;
+    }
+    double cdf = 0.5 * (1.0 + std::erf(z / std::sqrt(2.0)));
+    int symbol = static_cast<int>(cdf * static_cast<double>(params_.alphabet));
+    return std::clamp(symbol, 0, static_cast<int>(params_.alphabet) - 1);
+  }
+
+  double bitmap_distance() const {
+    const std::size_t alphabet = params_.alphabet;
+    const std::size_t word = params_.word_length;
+    std::size_t cells = 1;
+    for (std::size_t i = 0; i < word; ++i) cells *= alphabet;
+    std::vector<int> symbols;
+    for (double v : values_) symbols.push_back(discretize(v));
+    std::size_t lead = std::min(params_.lead_window, symbols.size());
+    std::size_t lag_end = symbols.size() - lead;
+    if (lag_end < word || lead < word) return 0.0;
+    auto fill_bitmap = [&](std::size_t begin, std::size_t end) {
+      std::vector<double> bitmap(cells, 0.0);
+      double max_count = 0.0;
+      for (std::size_t i = begin; i + word <= end; ++i) {
+        std::size_t cell = 0;
+        for (std::size_t j = 0; j < word; ++j) {
+          cell = cell * alphabet + static_cast<std::size_t>(symbols[i + j]);
+        }
+        bitmap[cell] += 1.0;
+        max_count = std::max(max_count, bitmap[cell]);
+      }
+      if (max_count > 0.0) {
+        for (double& c : bitmap) c /= max_count;
+      }
+      return bitmap;
+    };
+    std::vector<double> lag_bitmap = fill_bitmap(0, lag_end);
+    std::vector<double> lead_bitmap = fill_bitmap(lag_end, symbols.size());
+    double distance = 0.0;
+    for (std::size_t i = 0; i < cells; ++i) {
+      double d = lag_bitmap[i] - lead_bitmap[i];
+      distance += d * d;
+    }
+    return distance;
+  }
+
+  BitmapParams params_;
+  Ring values_;
+  Ring scores_;
+};
+
+enum class SeriesShape { kConstantRuns, kNearConstant, kLevelShifts };
+
+// Drives the one-pass scorer and the reference over one seeded series,
+// interleaving backfill() with update() and round-tripping both through
+// save/load mid-stream. Returns the number of judgements compared.
+template <class Fail>
+int drive_pair(const BitmapParams& params, SeriesShape shape,
+               std::uint64_t seed, Fail&& fail) {
+  std::mt19937_64 rng(seed);
+  std::uniform_real_distribution<double> unit(0.0, 1.0);
+  auto detector = std::make_unique<BitmapDetector>(params);
+  auto reference = std::make_unique<ReferenceBitmap>(params);
+  auto state_of = [](const auto& d) {
+    store::Encoder enc;
+    d.save_state(enc);
+    return enc.take();
+  };
+  double level = unit(rng);
+  int compared = 0;
+  for (int step = 0; step < 400; ++step) {
+    double value = level;
+    switch (shape) {
+      case SeriesShape::kConstantRuns:
+        if (unit(rng) < 0.05) level = std::round(unit(rng) * 4.0) / 4.0;
+        value = level;
+        break;
+      case SeriesShape::kNearConstant: {
+        // Perturbations that straddle the sd > 1e-12 breakpoint, down to
+        // one ulp of the level.
+        static constexpr double kJitter[] = {0.0,   1e-16, 1e-14, 5e-13,
+                                             1e-12, 2e-12, 1e-11, 1e-9};
+        double jitter = kJitter[rng() % std::size(kJitter)];
+        value = unit(rng) < 0.5 ? level + jitter : level - jitter;
+        if (unit(rng) < 0.05) value = std::nextafter(level, 2.0);
+        break;
+      }
+      case SeriesShape::kLevelShifts:
+        if (unit(rng) < 0.04) level += (unit(rng) - 0.5) * 4.0;
+        value = level + (unit(rng) - 0.5) * 0.05;
+        break;
+    }
+    if (unit(rng) < 0.1) {
+      std::size_t count = 1 + rng() % 60;
+      detector->backfill(value, count);
+      reference->backfill(value, count);
+    } else {
+      Judgement got = detector->update(value);
+      Judgement want = reference->update(value);
+      ++compared;
+      if (std::bit_cast<std::uint64_t>(got.score) !=
+              std::bit_cast<std::uint64_t>(want.score) ||
+          got.outlier != want.outlier) {
+        fail(step, got, want);
+        return compared;
+      }
+    }
+    if (step == 137 || step == 311) {
+      std::string bytes = state_of(*detector);
+      EXPECT_EQ(bytes, state_of(*reference)) << "step " << step;
+      detector = std::make_unique<BitmapDetector>(params);
+      reference = std::make_unique<ReferenceBitmap>(params);
+      store::Decoder dec(bytes);
+      detector->load_state(dec);
+      store::Decoder ref_dec(bytes);
+      reference->load_state(ref_dec);
+    }
+  }
+  EXPECT_EQ(state_of(*detector), state_of(*reference));
+  return compared;
+}
+
+TEST(Bitmap, OnePassScorerMatchesPerValueMomentsBitForBit) {
+  int compared = 0;
+  std::uint64_t seed = 1;
+  for (std::size_t alphabet : {3u, 4u, 5u}) {
+    for (std::size_t word : {1u, 2u, 3u}) {
+      for (SeriesShape shape :
+           {SeriesShape::kConstantRuns, SeriesShape::kNearConstant,
+            SeriesShape::kLevelShifts}) {
+        for (bool drop : {true, false}) {
+          BitmapParams params;
+          params.alphabet = alphabet;
+          params.word_length = word;
+          params.drop_outliers_from_history = drop;
+          for (int rep = 0; rep < 3; ++rep, ++seed) {
+            compared += drive_pair(
+                params, shape, seed,
+                [&](int step, const Judgement& got, const Judgement& want) {
+                  ADD_FAILURE()
+                      << "alphabet " << alphabet << " word " << word
+                      << " shape " << static_cast<int>(shape) << " seed "
+                      << seed << " step " << step << ": score "
+                      << got.score << " vs " << want.score << ", outlier "
+                      << got.outlier << " vs " << want.outlier;
+                });
+          }
+        }
+      }
+    }
+  }
+  EXPECT_GT(compared, 50000);
 }
 
 TEST(LazySeries, CarryForwardFillsGaps) {

@@ -106,6 +106,61 @@ TEST(Interner, ResolvedReferencesAreStableAcrossGrowth) {
   EXPECT_EQ(*ref, make_path({42, 43}));
 }
 
+// Content→id lookups in every domain return the first-sight id, including
+// collector lookups through string_views that are not NUL-terminated.
+TEST(Interner, ContentLookupFindsIdsInAllDomains) {
+  Interner::ScopedInstance scoped;
+  Interner& in = scoped.get();
+  std::vector<PathId> paths;
+  std::vector<CommSetId> commsets;
+  std::vector<CollectorId> collectors;
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    paths.push_back(in.path_id(make_path({i, 7, i})));
+    commsets.push_back(in.commset_id(make_comms({i, i + 1})));
+    collectors.push_back(in.collector_id("rrc" + std::to_string(i)));
+  }
+  EXPECT_EQ(paths.front(), 1u);
+  EXPECT_EQ(collectors.back(), 300u);
+  const std::string names = "rrc17|rrc2990";
+  for (std::uint32_t i = 0; i < 300; ++i) {
+    EXPECT_EQ(in.path_id(make_path({i, 7, i})), paths[i]);
+    EXPECT_EQ(in.commset_id(make_comms({i + 1, i})), commsets[i]);
+    EXPECT_EQ(in.collector_id(std::string_view("rrc" + std::to_string(i))),
+              collectors[i]);
+  }
+  EXPECT_EQ(in.collector_id(std::string_view(names).substr(0, 5)),
+            collectors[17]);
+  EXPECT_EQ(in.collector_id(std::string_view(names).substr(6, 6)),
+            collectors[299]);
+  // A known name with a suffix is new content, not a match.
+  EXPECT_EQ(in.collector_id(std::string_view(names).substr(6)), 301u);
+  EXPECT_EQ(in.collector(301), "rrc2990");
+  EXPECT_EQ(in.path_count(), 301u);
+  EXPECT_EQ(in.commset_count(), 301u);
+  EXPECT_EQ(in.collector_count(), 302u);
+}
+
+// Growing a domain rehashes its index many times over; every value keeps
+// its id and a repeat lookup never inserts.
+TEST(Interner, IdsStableAcrossRehash) {
+  Interner::ScopedInstance scoped;
+  Interner& in = scoped.get();
+  constexpr std::uint32_t kValues = 20000;
+  for (std::uint32_t i = 0; i < kValues; ++i) {
+    ASSERT_EQ(in.path_id(make_path({i, i * 3 + 1})), i + 1);
+    ASSERT_EQ(in.commset_id(make_comms({i * 2, i * 2 + 1})), i + 1);
+    ASSERT_EQ(in.collector_id("c" + std::to_string(i)), i + 1);
+  }
+  for (std::uint32_t i = 0; i < kValues; ++i) {
+    ASSERT_EQ(in.path_id(make_path({i, i * 3 + 1})), i + 1);
+    ASSERT_EQ(in.commset_id(make_comms({i * 2, i * 2 + 1})), i + 1);
+    ASSERT_EQ(in.collector_id("c" + std::to_string(i)), i + 1);
+  }
+  EXPECT_EQ(in.path_count(), kValues + 1);
+  EXPECT_EQ(in.commset_count(), kValues + 1);
+  EXPECT_EQ(in.collector_count(), kValues + 1);
+}
+
 // The hot-path concurrency shape: one serial writer interning new values
 // while readers resolve already-published ids lock-free. TSAN checks the
 // release/acquire pairing on the chunk table.
@@ -136,6 +191,19 @@ TEST(Interner, ConcurrentResolveWhileInterning) {
       }
     });
   }
+  // Content→id lookups of published values race the writer's inserts and
+  // the index growth they trigger; lookups compare content via resolve().
+  readers.emplace_back([&] {
+    for (int spin = 0; spin < 5000; ++spin) {
+      std::uint32_t id = published.load(std::memory_order_acquire);
+      if (id == kEmptyInternId) continue;
+      AsPath copy = in.path(id);
+      if (in.path_id(copy) != id) {
+        failed.store(true);
+        return;
+      }
+    }
+  });
   writer.join();
   for (std::thread& t : readers) t.join();
   EXPECT_FALSE(failed.load());
