@@ -15,6 +15,10 @@ namespace rrr::bgp {
 // leaks intern-id values (which are free to differ across runs). The
 // `canonical_path` stamp is deliberately not stored: a loaded backlog
 // re-canonicalizes through the table view's own memo.
+// Smallest encoded record: the fixed-width fields plus the three length
+// prefixes (collector, path, communities) of an empty record.
+inline constexpr std::size_t kMinRecordBytes = 8 + 1 + 4 + 4 + 4 + 8 + 5 + 8 + 8;
+
 inline void put_record(store::Encoder& enc, const BgpRecord& record) {
   store::put(enc, record.time);
   enc.u8(static_cast<std::uint8_t>(record.type));
@@ -30,7 +34,7 @@ inline void put_record(store::Encoder& enc, const BgpRecord& record) {
 inline BgpRecord get_record(store::Decoder& dec) {
   BgpRecord record;
   record.time = store::get_time(dec);
-  record.type = static_cast<RecordType>(dec.u8());
+  record.type = dec.enumeration(RecordType::kWithdrawal);
   record.vp = dec.u32();
   record.peer_asn = store::get_asn(dec);
   record.peer_ip = store::get_ipv4(dec);

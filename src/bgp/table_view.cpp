@@ -137,13 +137,14 @@ void VpTableView::save_state(store::Encoder& enc) const {
 void VpTableView::load_state(store::Decoder& dec) {
   tables_.clear();
   std::vector<InternedPath> dict_paths;
-  std::uint32_t path_count = dec.u32();
+  // Each dictionary entry carries at least its u64 length prefix.
+  std::uint32_t path_count = dec.count<std::uint32_t>(8);
   dict_paths.reserve(path_count);
   for (std::uint32_t i = 0; i < path_count; ++i) {
     dict_paths.emplace_back(store::get_as_path(dec));
   }
   std::vector<InternedCommunities> dict_comms;
-  std::uint32_t comm_count = dec.u32();
+  std::uint32_t comm_count = dec.count<std::uint32_t>(8);
   dict_comms.reserve(comm_count);
   for (std::uint32_t i = 0; i < comm_count; ++i) {
     dict_comms.emplace_back(store::get_community_set(dec));

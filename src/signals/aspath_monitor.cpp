@@ -356,7 +356,7 @@ void AsPathMonitor::load_state(store::Decoder& dec) {
     std::uint64_t border_index = dec.u64();
     // Writer order is sorted, preserving the sorted-unique invariant.
     std::vector<bgp::VpId> v0;
-    std::uint64_t v0_count = dec.u64();
+    std::uint64_t v0_count = dec.count(4);
     v0.reserve(v0_count);
     for (std::uint64_t j = 0; j < v0_count; ++j) v0.push_back(dec.u32());
     auto entry = std::make_unique<Entry>(Entry{
@@ -375,7 +375,7 @@ void AsPathMonitor::load_state(store::Decoder& dec) {
     entry->baseline_ratio = dec.f64();
     entry->dirty = dec.boolean();
     entry->hot_windows = static_cast<int>(dec.i64());
-    std::uint64_t update_count = dec.u64();
+    std::uint64_t update_count = dec.count(12);  // vp + path length
     entry->window_updates.reserve(update_count);
     for (std::uint64_t j = 0; j < update_count; ++j) {
       bgp::VpId vp = dec.u32();
@@ -386,7 +386,7 @@ void AsPathMonitor::load_state(store::Decoder& dec) {
   }
   auto get_ids = [this, &dec]() {
     std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       list.push_back(by_potential_.at(dec.u64()));

@@ -226,7 +226,8 @@ void BorderMonitor::load_state(store::Decoder& dec) {
     key.c_n = dec.u16();
     auto entry = std::make_unique<Entry>();
     entry->key = key;
-    std::uint64_t router_count = dec.u64();
+    // Smallest router series: ids, counts and flags around its detector.
+    std::uint64_t router_count = dec.count(34);
     entry->routers.reserve(router_count);
     for (std::uint64_t j = 0; j < router_count; ++j) {
       auto rs = std::make_unique<RouterSeries>(RouterSeries{
@@ -240,7 +241,7 @@ void BorderMonitor::load_state(store::Decoder& dec) {
           .pending_drop = false,
       });
       rs->series.load_state(dec);
-      std::uint64_t sub_count = dec.u64();
+      std::uint64_t sub_count = dec.count(17);
       rs->subscribers.reserve(sub_count);
       for (std::uint64_t k = 0; k < sub_count; ++k) {
         Subscriber sub;
@@ -259,7 +260,7 @@ void BorderMonitor::load_state(store::Decoder& dec) {
   }
   auto get_ids = [this, &dec]() {
     std::vector<RouterSeries*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       list.push_back(by_potential_.at(dec.u64()));

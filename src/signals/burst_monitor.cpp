@@ -325,7 +325,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
     // The writer emits VPs in sorted order; keeping stream order preserves
     // the sorted-unique invariant the binary searches rely on.
     std::vector<bgp::VpId> vps;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(4);
     vps.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) vps.push_back(dec.u32());
     return vps;
@@ -353,7 +353,8 @@ void BurstMonitor::load_state(store::Decoder& dec) {
     });
     entry->series.load_state(dec);
     entry->window_dups = get_vps();
-    std::uint64_t extra_count = dec.u64();
+    // Smallest extra series: ASN, two VP-list counts and a flag.
+    std::uint64_t extra_count = dec.count(21);
     entry->extras.reserve(extra_count);
     for (std::uint64_t j = 0; j < extra_count; ++j) {
       ExtraSeries extra{
@@ -374,7 +375,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
     for (std::uint64_t j = 0; j < vp_extra_count; ++j) {
       bgp::VpId vp = dec.u32();
       std::vector<std::size_t>& indices = entry->vp_extras[vp];
-      std::uint64_t index_count = dec.u64();
+      std::uint64_t index_count = dec.count(8);
       indices.reserve(index_count);
       for (std::uint64_t k = 0; k < index_count; ++k) {
         indices.push_back(dec.u64());
@@ -386,7 +387,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
   }
   auto get_ids = [&by_id, &dec]() {
     std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       list.push_back(by_id.at(dec.u64()));

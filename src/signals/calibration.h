@@ -74,7 +74,7 @@ class Calibration {
       std::uint64_t event_count = dec.u64();
       for (std::uint64_t j = 0; j < event_count; ++j) {
         std::int64_t window = dec.i64();
-        auto outcome = static_cast<Outcome>(dec.u8());
+        auto outcome = dec.enumeration(Outcome::kFalseNegative);
         tally.events.emplace_back(window, outcome);
       }
       tally.first_window = dec.i64();

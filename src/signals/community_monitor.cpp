@@ -339,7 +339,7 @@ void CommunityMonitor::load_state(store::Decoder& dec) {
   }
   auto get_ids = [this, &dec]() {
     std::vector<Entry*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       list.push_back(by_potential_.at(dec.u64()));

@@ -3,19 +3,10 @@
 #include <algorithm>
 #include <cassert>
 
-#include "bgp/serial.h"
-#include "runtime/task_group.h"
+#include "signals/serial.h"
+#include "tracemap/serial.h"
 
 namespace rrr::signals {
-namespace {
-
-EngineParams normalized(EngineParams params) {
-  params.subpath.base_window_seconds = params.window_seconds;
-  params.border.base_window_seconds = params.window_seconds;
-  return params;
-}
-
-}  // namespace
 
 DispatchedBatch dispatch_against_table(
     const std::vector<bgp::BgpRecord>& records, std::size_t count,
@@ -60,132 +51,32 @@ std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
   return static_cast<std::size_t>(mid - pending.begin());
 }
 
-StalenessEngine::StalenessEngine(
-    const EngineParams& params, tracemap::ProcessingContext& processing,
-    std::vector<bgp::VantagePoint> vps, std::vector<topo::AsIndex> vp_as,
-    std::vector<topo::CityId> vp_city, std::set<Asn> ixp_route_server_asns,
-    AsRelDb rels, std::map<topo::IxpId, std::set<Asn>> ixp_members)
-    : params_(normalized(params)),
-      clock_(params.t0, params.window_seconds),
+EngineShard::EngineShard(tracemap::ProcessingContext& processing,
+                         WindowClock clock, const EngineSharedState& shared)
+    : clock_(clock),
       processing_(processing),
-      rng_(Rng(params.seed).fork(0xE9619E)) {
-  owned_ = std::make_unique<OwnedGlobals>(
-      std::move(vps), std::move(ixp_route_server_asns),
-      params_.calibration_windows, std::move(rels));
-  owned_->context.table = &owned_->table;
-  owned_->context.vps = &owned_->vps;
-  owned_->context.vp_as = std::move(vp_as);
-  owned_->context.vp_city = std::move(vp_city);
-  owned_->subpath = std::make_unique<SubpathMonitor>(params_.subpath);
-  owned_->border = std::make_unique<BorderMonitor>(params_.border);
-  owned_->ixp =
-      std::make_unique<IxpMonitor>(owned_->rels, std::move(ixp_members));
-
-  context_ = &owned_->context;
-  index_ = &owned_->index;
-  calibration_ = &owned_->calibration;
-  reputation_ = &owned_->reputation;
-  subpath_ = owned_->subpath.get();
-  border_ = owned_->border.get();
-  ixp_ = owned_->ixp.get();
-
-  if (params_.threads > 1) {
-    owned_pool_ = std::make_unique<runtime::ThreadPool>(params_.threads);
-  }
-  pool_ = owned_pool_.get();
-
-  if (params_.tracer != nullptr) {
-    if (owned_pool_ != nullptr) owned_pool_->set_tracer(params_.tracer);
-    owned_->table.set_tracer(params_.tracer);
-  }
-
-  if (params_.metrics != nullptr) {
-    obs_ = EngineObs::create(*params_.metrics);
-    index_->set_obs(obs_.potentials_opened);
-    if (owned_pool_ != nullptr) {
-      pool_obs_ = runtime::PoolObs::create(*params_.metrics);
-      owned_pool_->set_obs(&pool_obs_);
-    }
-  }
-
-  if (params_.feed_health.enabled) {
-    owned_->health = std::make_unique<FeedHealthTracker>(params_.feed_health);
-    if (params_.metrics != nullptr) {
-      owned_->health->set_metrics(*params_.metrics);
-    }
-    health_ = owned_->health.get();
-  }
-
-  aspath_ = std::make_unique<AsPathMonitor>(*context_);
-  community_ = std::make_unique<CommunityMonitor>(*context_, *reputation_);
-  burst_ = std::make_unique<BurstMonitor>(*context_);
-  // Monitors with per-series window-close work shard it over the pool; a
-  // null pool keeps them on the exact serial code path.
-  aspath_->set_pool(pool_);
-  community_->set_pool(pool_);
-  burst_->set_pool(pool_);
-  subpath_->set_pool(pool_);
-  border_->set_pool(pool_);
-  ixp_->set_pool(pool_);
-  // All-null bundles when telemetry is off, so this is unconditional.
-  aspath_->set_obs(obs_.monitors[technique_index(Technique::kBgpAsPath)]);
-  community_->set_obs(
-      obs_.monitors[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_obs(obs_.monitors[technique_index(Technique::kBgpBurst)]);
-  subpath_->set_obs(obs_.monitors[technique_index(Technique::kTraceSubpath)]);
-  border_->set_obs(obs_.monitors[technique_index(Technique::kTraceBorder)]);
-  ixp_->set_obs(obs_.monitors[technique_index(Technique::kColocation)]);
-  // A null tracker leaves every consult site on its single-branch fast
-  // path; the counters are the per-technique suppression tallies.
-  aspath_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpAsPath)]);
-  community_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpCommunity)]);
-  burst_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpBurst)]);
-  subpath_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceSubpath)]);
-  border_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kTraceBorder)]);
-  ixp_->set_feed_health(
-      health_,
-      obs_.dropped_unhealthy_feed[technique_index(Technique::kColocation)]);
-}
-
-StalenessEngine::StalenessEngine(const EngineParams& params,
-                                 tracemap::ProcessingContext& processing,
-                                 const EngineSharedState& shared)
-    : params_(normalized(params)),
-      clock_(params.t0, params.window_seconds),
-      processing_(processing),
-      rng_(Rng(params.seed).fork(0xE9619E)) {
+      index_(shared.index),
+      calibration_(shared.calibration),
+      reputation_(shared.reputation),
+      subpath_(shared.subpath),
+      border_(shared.border),
+      ixp_(shared.ixp),
+      health_(shared.health) {
   assert(shared.context != nullptr && shared.index != nullptr &&
          shared.calibration != nullptr && shared.reputation != nullptr &&
          shared.subpath != nullptr && shared.border != nullptr &&
          shared.ixp != nullptr);
-  pool_ = shared.pool;
-  context_ = shared.context;
-  index_ = shared.index;
-  calibration_ = shared.calibration;
-  reputation_ = shared.reputation;
-  subpath_ = shared.subpath;
-  border_ = shared.border;
-  ixp_ = shared.ixp;
-  health_ = shared.health;  // may be null: health tracking off
-
   if (shared.obs != nullptr) obs_ = *shared.obs;
 
-  aspath_ = std::make_unique<AsPathMonitor>(*context_);
-  community_ = std::make_unique<CommunityMonitor>(*context_, *reputation_);
-  burst_ = std::make_unique<BurstMonitor>(*context_);
-  aspath_->set_pool(pool_);
-  community_->set_pool(pool_);
-  burst_->set_pool(pool_);
+  aspath_ = std::make_unique<AsPathMonitor>(*shared.context);
+  community_ =
+      std::make_unique<CommunityMonitor>(*shared.context, *reputation_);
+  burst_ = std::make_unique<BurstMonitor>(*shared.context);
+  // Monitors with per-series window-close work shard it over the pool; a
+  // null pool keeps them on the exact serial code path.
+  aspath_->set_pool(shared.pool);
+  community_->set_pool(shared.pool);
+  burst_->set_pool(shared.pool);
   // Shards share the facade's per-technique instruments (atomic updates).
   aspath_->set_obs(obs_.monitors[technique_index(Technique::kBgpAsPath)]);
   community_->set_obs(
@@ -204,7 +95,7 @@ StalenessEngine::StalenessEngine(const EngineParams& params,
       obs_.dropped_unhealthy_feed[technique_index(Technique::kBgpBurst)]);
 }
 
-Monitor* StalenessEngine::monitor_for(Technique technique) {
+const Monitor* EngineShard::monitor_for(Technique technique) const {
   switch (technique) {
     case Technique::kBgpAsPath: return aspath_.get();
     case Technique::kBgpCommunity: return community_.get();
@@ -216,11 +107,7 @@ Monitor* StalenessEngine::monitor_for(Technique technique) {
   return nullptr;
 }
 
-const Monitor* StalenessEngine::monitor_for(Technique technique) const {
-  return const_cast<StalenessEngine*>(this)->monitor_for(technique);
-}
-
-tr::Freshness StalenessEngine::initial_freshness(
+tr::Freshness EngineShard::initial_freshness(
     const tr::PairKey& pair, const CorpusView& view) const {
   // Fresh only when every border of the traceroute is monitored by at
   // least one potential signal; otherwise its state is unknowable (§6.2).
@@ -238,7 +125,7 @@ tr::Freshness StalenessEngine::initial_freshness(
   return relations.empty() ? tr::Freshness::kUnknown : tr::Freshness::kFresh;
 }
 
-void StalenessEngine::watch(const tr::Probe& probe,
+void EngineShard::watch(const tr::Probe& probe,
                             const tr::Traceroute& trace) {
   tr::PairKey key{trace.probe, trace.dst_ip};
   PairState state;
@@ -260,76 +147,7 @@ void StalenessEngine::watch(const tr::Probe& probe,
   corpus_[key] = std::move(state);
 }
 
-void StalenessEngine::on_bgp_record(const bgp::BgpRecord& record) {
-  // Feed-boundary delivery tally (standalone mode only; the facade counts
-  // on its own tracker before records reach the shards).
-  if (owned_ != nullptr && owned_->health != nullptr) {
-    owned_->health->count_bgp(record.vp, record.collector.id(),
-                              clock_.index_of(record.time));
-  }
-  bgp::BgpRecord& stored = pending_records_.emplace_back(record);
-  // Stamp the table-canonical path at the serial feed boundary (standalone
-  // mode; the facade stamps at its own boundary) so the epoch-table absorb
-  // task is interner-read-only on the pool thread.
-  if (owned_ != nullptr) {
-    stored.canonical_path = owned_->feed_canon.canonical(stored.as_path.id());
-  }
-}
-
-void StalenessEngine::on_public_trace(const tr::Traceroute& trace) {
-  std::int64_t window = clock_.index_of(trace.time);
-  if (owned_ != nullptr && owned_->health != nullptr) {
-    owned_->health->count_trace(trace.probe, window);
-  }
-  tracemap::ProcessedTrace processed = processing_.ingest(trace);
-  subpath_->on_public_trace(processed, window);
-  border_->on_public_trace(processed, window);
-  ixp_->on_public_trace(processed, window);
-}
-
-void StalenessEngine::register_signals(
-    std::vector<StalenessSignal>& out, std::vector<StalenessSignal>&& batch) {
-  // Canonical merge order: each monitor's shard buffers already concatenate
-  // in a deterministic work-list order, and the batch is additionally
-  // ordered by (window, PotentialId). This ordering — not scheduling luck —
-  // is the determinism contract: the signal stream is identical whatever
-  // params_.threads is (DESIGN.md, "Runtime & determinism").
-  std::stable_sort(batch.begin(), batch.end(),
-                   [](const StalenessSignal& a, const StalenessSignal& b) {
-                     return a.window != b.window ? a.window < b.window
-                                                 : a.potential < b.potential;
-                   });
-  out.reserve(out.size() + batch.size());
-  for (StalenessSignal& signal : batch) {
-    auto it = corpus_.find(signal.pair);
-    if (it == corpus_.end()) {
-      obs::inc(obs_.signals_dropped_refreshed);
-      continue;  // pair refreshed mid-window
-    }
-    auto fired = last_fired_.find(signal.potential);
-    if (fired != last_fired_.end() &&
-        signal.window - fired->second < params_.signal_cooldown_windows) {
-      obs::inc(obs_.signals_suppressed_cooldown);
-      continue;  // persistent change already reported recently
-    }
-    last_fired_[signal.potential] = signal.window;
-    obs::inc(obs_.signals_emitted[technique_index(signal.technique)]);
-    PairState& state = it->second;
-    if (state.freshness != tr::Freshness::kStale) {
-      state.freshness = tr::Freshness::kStale;
-    }
-    ActiveSignal active;
-    active.potential = signal.potential;
-    active.technique = signal.technique;
-    active.meta = signal.meta;
-    active.pair = signal.pair;
-    active.community = signal.community;
-    state.active[signal.potential] = std::move(active);
-    out.push_back(std::move(signal));
-  }
-}
-
-void StalenessEngine::mark_stale(const StalenessSignal& signal) {
+void EngineShard::mark_stale(const StalenessSignal& signal) {
   auto it = corpus_.find(signal.pair);
   if (it == corpus_.end()) return;
   PairState& state = it->second;
@@ -343,7 +161,7 @@ void StalenessEngine::mark_stale(const StalenessSignal& signal) {
   state.active[signal.potential] = std::move(active);
 }
 
-void StalenessEngine::dispatch_window_records(
+void EngineShard::dispatch_window_records(
     const DispatchedBatch& records, std::int64_t window) {
   for (const DispatchedRecord& dispatched : records) {
     aspath_->on_record(dispatched, window);
@@ -352,7 +170,7 @@ void StalenessEngine::dispatch_window_records(
   }
 }
 
-void StalenessEngine::collect_bgp_close(std::vector<StalenessSignal>& into,
+void EngineShard::collect_bgp_close(std::vector<StalenessSignal>& into,
                                         std::int64_t window,
                                         TimePoint window_end) {
   auto append = [&into](std::vector<StalenessSignal>&& batch) {
@@ -364,84 +182,7 @@ void StalenessEngine::collect_bgp_close(std::vector<StalenessSignal>& into,
   append(burst_->close_window(window, window_end));
 }
 
-void StalenessEngine::close_one_window(std::int64_t window,
-                                       std::vector<StalenessSignal>& out) {
-  assert(owned_ != nullptr && "shard-mode engines are closed by the facade");
-  obs::ScopedSpan close_span(obs_.window_close_us);
-  TimePoint end = clock_.window_end(window);
-  // Feed-health transitions happen before any monitor consults the tracker,
-  // so every gate in this close sees the state as of this window's deliveries.
-  if (owned_->health != nullptr) owned_->health->close_window(window);
-  // Dispatch this window's BGP records to the monitors against the
-  // published start-of-window epoch, then absorb them into the shadow.
-  std::size_t cut = cut_window_prefix(pending_records_, clock_, window);
-  {
-    obs::ScopedSpan dispatch_span(obs_.dispatch_us);
-    obs::TraceSpan trace_span(params_.tracer, "dispatch", "close", window,
-                              "records", static_cast<std::int64_t>(cut));
-    DispatchedBatch dispatched =
-        dispatch_against_table(pending_records_, cut, owned_->table.read(),
-                               collapse_canon_, close_arena_);
-    dispatch_window_records(dispatched, window);
-  }
-
-  // The absorb writer fills the epoch table's shadow buffer; monitors keep
-  // reading the published epoch throughout. Pipelined, it overlaps every
-  // monitor close below; serial, it runs inline at the exact point the
-  // pre-epoch schedule absorbed (between the BGP and trace closes). Either
-  // way the flip is what makes the new state visible, and it only happens
-  // once the writer and all readers are joined — so the signal stream is
-  // identical across both schedules.
-  runtime::TaskGroup absorb_group(pool_);
-  auto absorb_batch = [this, cut, window] {
-    obs::ScopedSpan absorb_span(obs_.absorb_us);
-    obs::TraceSpan trace_span(params_.tracer, "absorb", "close", window,
-                              "records", static_cast<std::int64_t>(cut));
-    owned_->table.absorb(pending_records_, cut);
-  };
-  if (params_.pipeline_absorb) absorb_group.spawn(absorb_batch);
-
-  register_signals(out, aspath_->close_window(window, end));
-  register_signals(out, community_->close_window(window, end));
-  register_signals(out, burst_->close_window(window, end));
-
-  if (!params_.pipeline_absorb) {
-    absorb_batch();
-    owned_->table.flip();
-    obs::inc(obs_.epoch_flips);
-  }
-
-  register_signals(out, subpath_->close_window(window, end));
-  register_signals(out, border_->close_window(window, end));
-  register_signals(out, ixp_->close_window(window, end));
-
-  if (params_.pipeline_absorb) {
-    {
-      obs::ScopedSpan wait_span(obs_.absorb_wait_us);
-      obs::TraceSpan trace_span(params_.tracer, "absorb_wait", "close",
-                                window);
-      absorb_group.wait();
-    }
-    owned_->table.flip();
-    obs::inc(obs_.epoch_flips);
-  }
-  obs::inc(obs_.bgp_records_absorbed, static_cast<std::int64_t>(cut));
-  pending_records_.erase(pending_records_.begin(),
-                         pending_records_.begin() +
-                             static_cast<std::ptrdiff_t>(cut));
-  // Everything arena-allocated this close (the dispatch batch) is dead;
-  // recycle the slabs wholesale for the next window.
-  close_arena_.reset();
-
-  if (params_.revocation_check_interval > 0 &&
-      window % params_.revocation_check_interval ==
-          params_.revocation_check_interval - 1) {
-    run_revocation(window);
-  }
-}
-
-void StalenessEngine::run_revocation(std::int64_t window) {
-  (void)window;
+void EngineShard::run_revocation() {
   for (auto& [key, state] : corpus_) {
     if (state.freshness != tr::Freshness::kStale || state.active.empty()) {
       continue;
@@ -473,18 +214,7 @@ void StalenessEngine::run_revocation(std::int64_t window) {
   }
 }
 
-std::vector<StalenessSignal> StalenessEngine::advance_to(TimePoint t) {
-  std::vector<StalenessSignal> out;
-  std::int64_t last = clock_.index_of(t) - 1;  // windows fully ended by t
-  if (clock_.window_end(last + 1) == t) last += 1;
-  while (next_window_ <= last) {
-    close_one_window(next_window_, out);
-    ++next_window_;
-  }
-  return out;
-}
-
-void StalenessEngine::collect_refresh_candidates(
+void EngineShard::collect_refresh_candidates(
     std::map<tr::PairKey, RefreshScheduler::PairState>& into) const {
   for (const auto& [key, state] : corpus_) {
     if (state.active.empty()) continue;
@@ -501,13 +231,7 @@ void StalenessEngine::collect_refresh_candidates(
   }
 }
 
-std::vector<tr::PairKey> StalenessEngine::plan_refreshes(int budget) {
-  std::map<tr::PairKey, RefreshScheduler::PairState> pairs;
-  collect_refresh_candidates(pairs);
-  return RefreshScheduler::plan(pairs, *calibration_, budget, rng_);
-}
-
-bool StalenessEngine::portion_changed(const tracemap::ProcessedTrace& before,
+bool EngineShard::portion_changed(const tracemap::ProcessedTrace& before,
                                       const tracemap::ProcessedTrace& after,
                                       std::size_t border_index) const {
   if (border_index == kWholePath) return before.as_path != after.as_path;
@@ -531,7 +255,7 @@ bool StalenessEngine::portion_changed(const tracemap::ProcessedTrace& before,
   return before.as_path != after.as_path;
 }
 
-RefreshOutcome StalenessEngine::apply_refresh(const tr::Probe& probe,
+RefreshOutcome EngineShard::apply_refresh(const tr::Probe& probe,
                                               const tr::Traceroute& fresh) {
   tr::PairKey key{fresh.probe, fresh.dst_ip};
   RefreshOutcome outcome;
@@ -602,12 +326,7 @@ RefreshOutcome StalenessEngine::apply_refresh(const tr::Probe& probe,
   return outcome;
 }
 
-void StalenessEngine::save_shard_state(store::Encoder& enc) const {
-  enc.str(rng_.save_state());
-  enc.u64(pending_records_.size());
-  for (const bgp::BgpRecord& record : pending_records_) {
-    bgp::put_record(enc, record);
-  }
+void EngineShard::save_shard_state(store::Encoder& enc) const {
   enc.u64(corpus_.size());
   for (const auto& [key, state] : corpus_) {
     put_pair(enc, key);
@@ -623,25 +342,12 @@ void StalenessEngine::save_shard_state(store::Encoder& enc) const {
       put_active(enc, active);
     }
   }
-  enc.u64(last_fired_.size());
-  for (const auto& [potential, window] : last_fired_) {
-    enc.u64(potential);
-    enc.i64(window);
-  }
-  enc.i64(next_window_);
   aspath_->save_state(enc);
   community_->save_state(enc);
   burst_->save_state(enc);
 }
 
-void StalenessEngine::load_shard_state(store::Decoder& dec) {
-  rng_.load_state(std::string(dec.str()));
-  pending_records_.clear();
-  std::uint64_t record_count = dec.u64();
-  pending_records_.reserve(record_count);
-  for (std::uint64_t i = 0; i < record_count; ++i) {
-    pending_records_.push_back(bgp::get_record(dec));
-  }
+void EngineShard::load_shard_state(store::Decoder& dec) {
   corpus_.clear();
   std::uint64_t pair_count = dec.u64();
   for (std::uint64_t i = 0; i < pair_count; ++i) {
@@ -652,7 +358,7 @@ void StalenessEngine::load_shard_state(store::Decoder& dec) {
     state.view.probe_city = dec.u16();
     state.view.window = dec.i64();
     state.view.processed = tracemap::get_processed(dec);
-    state.freshness = static_cast<tr::Freshness>(dec.u8());
+    state.freshness = dec.enumeration(tr::Freshness::kUnknown);
     state.watched_window = dec.i64();
     std::uint64_t active_count = dec.u64();
     for (std::uint64_t j = 0; j < active_count; ++j) {
@@ -661,56 +367,18 @@ void StalenessEngine::load_shard_state(store::Decoder& dec) {
     }
     corpus_[key] = std::move(state);
   }
-  last_fired_.clear();
-  std::uint64_t fired_count = dec.u64();
-  for (std::uint64_t i = 0; i < fired_count; ++i) {
-    PotentialId potential = dec.u64();
-    last_fired_[potential] = dec.i64();
-  }
-  next_window_ = dec.i64();
   aspath_->load_state(dec);
   community_->load_state(dec);
   burst_->load_state(dec);
 }
 
-void StalenessEngine::save_global_state(store::Encoder& enc) const {
-  assert(owned_ != nullptr && "global state belongs to standalone engines");
-  owned_->table.save_state(enc);
-  owned_->index.save_state(enc);
-  owned_->calibration.save_state(enc);
-  owned_->reputation.save_state(enc);
-  owned_->subpath->save_state(enc);
-  owned_->border->save_state(enc);
-  owned_->ixp->save_state(enc);
-  enc.boolean(owned_->health != nullptr);
-  if (owned_->health != nullptr) owned_->health->save_state(enc);
-}
-
-void StalenessEngine::load_global_state(store::Decoder& dec) {
-  assert(owned_ != nullptr && "global state belongs to standalone engines");
-  owned_->table.load_state(dec);
-  owned_->index.load_state(dec);
-  owned_->calibration.load_state(dec);
-  owned_->reputation.load_state(dec);
-  owned_->subpath->load_state(dec);
-  owned_->border->load_state(dec);
-  owned_->ixp->load_state(dec, &owned_->index);
-  bool has_health = dec.boolean();
-  if (has_health != (owned_->health != nullptr)) {
-    throw store::StoreError(
-        store::StoreError::Kind::kCorrupt,
-        "snapshot feed-health state does not match engine configuration");
-  }
-  if (owned_->health != nullptr) owned_->health->load_state(dec);
-}
-
-tr::Freshness StalenessEngine::freshness(const tr::PairKey& pair) const {
+tr::Freshness EngineShard::freshness(const tr::PairKey& pair) const {
   auto it = corpus_.find(pair);
   return it == corpus_.end() ? tr::Freshness::kUnknown
                              : it->second.freshness;
 }
 
-std::vector<tr::PairKey> StalenessEngine::stale_pairs() const {
+std::vector<tr::PairKey> EngineShard::stale_pairs() const {
   std::vector<tr::PairKey> out;
   for (const auto& [key, state] : corpus_) {
     if (state.freshness == tr::Freshness::kStale) out.push_back(key);
@@ -718,7 +386,7 @@ std::vector<tr::PairKey> StalenessEngine::stale_pairs() const {
   return out;
 }
 
-void StalenessEngine::collect_pair_states(
+void EngineShard::collect_pair_states(
     std::vector<PairStateView>& into) const {
   for (const auto& [key, state] : corpus_) {
     into.push_back(PairStateView{
@@ -727,7 +395,7 @@ void StalenessEngine::collect_pair_states(
   }
 }
 
-const tracemap::ProcessedTrace* StalenessEngine::processed_of(
+const tracemap::ProcessedTrace* EngineShard::processed_of(
     const tr::PairKey& pair) const {
   auto it = corpus_.find(pair);
   return it == corpus_.end() ? nullptr : &it->second.view.processed;

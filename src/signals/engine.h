@@ -1,37 +1,30 @@
-// StalenessEngine: the public API of the paper's system.
+// EngineShard: one corpus partition of the staleness engine.
 //
-// Wires the six monitors to their data feeds, maintains the corpus's
-// freshness state, applies the calibration/scheduling policy of §4.3.1 and
-// the revocation rule of §4.3.2.
+// The engine of the paper (§4.3) — one calibration store, one refresh
+// scheduler, one revocation rule over the corpus — is the
+// ShardedStalenessEngine facade (sharded_engine.h). It owns every piece of
+// cross-pair state and drives the feed/close/refresh cycle; it partitions
+// the corpus over N EngineShards and lends each one read/write borrows of
+// that state (EngineSharedState). A shard keeps only per-pair state: its
+// slice of the corpus with each pair's freshness and active signals, plus
+// the BGP monitors, whose entries are per-pair. It exposes the hooks the
+// facade calls instead of closing windows on its own.
 //
-// Contract: feed all BGP records and public traceroutes belonging to a
-// window before calling advance_to() past that window's end.
-//
-// The engine runs in one of two modes:
-//  * standalone — it owns every piece of cross-pair state (BGP table view,
-//    potential index, calibration, reputation, the trace-driven monitors)
-//    and drives the full feed/close/refresh cycle itself;
-//  * shard — a ShardedStalenessEngine facade owns the cross-pair state and
-//    hands this engine read/write borrows of it (EngineSharedState). The
-//    shard keeps only per-pair state (its slice of the corpus plus the BGP
-//    monitors, whose entries are per-pair) and exposes the facade hooks
-//    below instead of closing windows on its own.
+// This header also holds the parameters shared by the whole engine and the
+// two window-close helpers the facade runs on its serial path.
 #pragma once
 
 #include <map>
 #include <memory>
-#include <set>
 #include <vector>
 
 #include "runtime/thread_pool.h"
 
 #include "obs/trace.h"
 
-#include "bgp/epoch_table.h"
 #include "bgp/record.h"
 #include "bgp/table_view.h"
 #include "signals/aspath_monitor.h"
-#include "signals/asreldb.h"
 #include "signals/bgp_context.h"
 #include "signals/border_monitor.h"
 #include "signals/burst_monitor.h"
@@ -64,9 +57,9 @@ struct EngineParams {
   // shard buffers merge in a canonical order, see DESIGN.md "Runtime &
   // determinism".
   int threads = 1;
-  // Corpus partitions of a ShardedStalenessEngine (ignored by a standalone
-  // StalenessEngine). Purely a throughput knob: the facade's signal stream
-  // is identical for any (shards, threads) combination.
+  // Corpus partitions of the ShardedStalenessEngine. Purely a throughput
+  // knob: the signal stream is identical for any (shards, threads)
+  // combination.
   int shards = 1;
   // Overlap the table-absorb step with the monitor closes: the just-closed
   // window's records are applied to the epoch table's shadow buffer by a
@@ -107,12 +100,12 @@ struct RefreshOutcome {
   bool was_flagged_stale = false;
 };
 
-// Cross-pair state a ShardedStalenessEngine lends to its shards. Everything
+// Cross-pair state the ShardedStalenessEngine lends to its shards. Everything
 // here has exactly one instance regardless of shard count: one BGP table
 // (shards read the immutable start-of-window snapshot through `context`),
 // one potential-id space, one calibration/reputation store, and one of each
 // trace-driven monitor (their series are deduplicated *across* pairs, so
-// per-shard copies would diverge from the single-engine signal stream).
+// per-shard copies would make the signal stream depend on the partition).
 struct EngineSharedState {
   const BgpContext* context = nullptr;
   runtime::ThreadPool* pool = nullptr;  // null = serial
@@ -151,43 +144,21 @@ DispatchedBatch dispatch_against_table(
 std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
                               const WindowClock& clock, std::int64_t window);
 
-class StalenessEngine {
+class EngineShard {
  public:
-  // Standalone mode: the engine owns all state below.
-  StalenessEngine(const EngineParams& params,
-                  tracemap::ProcessingContext& processing,
-                  std::vector<bgp::VantagePoint> vps,
-                  std::vector<topo::AsIndex> vp_as,
-                  std::vector<topo::CityId> vp_city,
-                  std::set<Asn> ixp_route_server_asns, AsRelDb rels,
-                  std::map<topo::IxpId, std::set<Asn>> ixp_members);
-  // Shard mode: cross-pair state is borrowed from `shared` (all pointers
-  // except `pool` must be non-null); the facade drives the window cycle.
-  StalenessEngine(const EngineParams& params,
-                  tracemap::ProcessingContext& processing,
-                  const EngineSharedState& shared);
+  // Every pointer in `shared` except `pool`, `obs` and `health` must be
+  // non-null and outlive the shard.
+  EngineShard(tracemap::ProcessingContext& processing, WindowClock clock,
+              const EngineSharedState& shared);
 
   // --- corpus management ---
   void watch(const tr::Probe& probe, const tr::Traceroute& trace);
   std::size_t corpus_size() const { return corpus_.size(); }
+  bool has_pair(const tr::PairKey& pair) const {
+    return corpus_.contains(pair);
+  }
 
-  // --- data feeds ---
-  void on_bgp_record(const bgp::BgpRecord& record);
-  void on_public_trace(const tr::Traceroute& trace);
-
-  // Closes every window ending at or before `t`; returns the staleness
-  // prediction signals generated in them. Standalone mode only.
-  std::vector<StalenessSignal> advance_to(TimePoint t);
-
-  // --- refresh cycle (§4.3.1) ---
-  // Chooses up to `budget` pairs to remeasure now.
-  std::vector<tr::PairKey> plan_refreshes(int budget);
-  // Grades related potential signals against the new measurement, updates
-  // calibration and community reputation, and re-registers the pair.
-  RefreshOutcome apply_refresh(const tr::Probe& probe,
-                               const tr::Traceroute& fresh);
-
-  // --- facade hooks (shard mode; see sharded_engine.h) ---
+  // --- window close (driven by the facade) ---
   // Dispatches one window's records to this shard's BGP monitors (records
   // are read-only; the shared table still holds the start-of-window state).
   void dispatch_window_records(const DispatchedBatch& records,
@@ -196,63 +167,40 @@ class StalenessEngine {
   // signals to `into`; the facade merges and registers across shards.
   void collect_bgp_close(std::vector<StalenessSignal>& into,
                          std::int64_t window, TimePoint window_end);
-  bool has_pair(const tr::PairKey& pair) const {
-    return corpus_.contains(pair);
-  }
   // Applies one registered signal's state change (freshness + active set).
   // The facade has already performed the corpus-presence and cooldown
-  // checks that standalone registration does.
+  // checks.
   void mark_stale(const StalenessSignal& signal);
+  // §4.3.2 sweep over this shard's corpus.
+  void run_revocation();
+
+  // --- refresh cycle (§4.3.1) ---
   // Adds this shard's refresh candidates (pairs with firing signals) to the
   // facade's merged candidate map.
   void collect_refresh_candidates(
       std::map<tr::PairKey, RefreshScheduler::PairState>& into) const;
-  // §4.3.2 sweep over this shard's corpus (also used internally).
-  void run_revocation(std::int64_t window);
+  // Grades related potential signals against the new measurement, updates
+  // calibration and community reputation, and re-registers the pair.
+  RefreshOutcome apply_refresh(const tr::Probe& probe,
+                               const tr::Traceroute& fresh);
 
   // --- queries ---
   tr::Freshness freshness(const tr::PairKey& pair) const;
   std::vector<tr::PairKey> stale_pairs() const;
-  // Appends this engine's per-pair verdict state (corpus order, i.e. sorted
-  // by pair). Pure read — no RNG draw, no state change — so the serving
-  // layer can call it every window without perturbing the signal stream.
+  // Appends this shard's per-pair verdict state (corpus order, i.e. sorted
+  // by pair). Pure read — no state change — so the serving layer can call
+  // it every window without perturbing the signal stream.
   void collect_pair_states(std::vector<PairStateView>& into) const;
-  const Calibration& calibration() const { return *calibration_; }
-  const CommunityReputation& community_reputation() const {
-    return *reputation_;
-  }
-  const bgp::VpTableView& table_view() const { return context_->table->read(); }
-  const PotentialIndex& potentials() const { return *index_; }
-  std::int64_t current_window() const { return next_window_; }
-  const WindowClock& clock() const { return clock_; }
   const tracemap::ProcessedTrace* processed_of(const tr::PairKey& pair) const;
-  const SubpathMonitor& subpath_monitor() const { return *subpath_; }
-  const BorderMonitor& border_monitor() const { return *border_; }
-  const AsPathMonitor& aspath_monitor() const { return *aspath_; }
   const CommunityMonitor& community_monitor() const { return *community_; }
 
   // --- checkpoint support ---
-  // Shard-local dynamic state: rng, pending record backlog, corpus slice
-  // with per-pair freshness/active-signal state, cooldown map, window
-  // cursor, and the per-pair BGP monitors. Configuration (params, topology,
-  // processing context) is not stored — the owner reconstructs the engine
-  // with identical parameters before loading.
+  // The shard's dynamic state: its corpus slice with per-pair freshness /
+  // active-signal state, and its per-pair BGP monitors. Configuration and
+  // the borrowed cross-pair state are not stored — the facade saves its
+  // single instances itself and rebuilds the shard before loading.
   void save_shard_state(store::Encoder& enc) const;
   void load_shard_state(store::Decoder& dec);
-  // Standalone engines only: the owned cross-pair state (epoch table,
-  // potential index, calibration, reputation, trace-driven monitors, feed
-  // health). In sharded mode the facade saves its single instances itself.
-  void save_global_state(store::Encoder& enc) const;
-  void load_global_state(store::Decoder& dec);
-  // Full standalone state = globals followed by the shard-local slice.
-  void save_state(store::Encoder& enc) const {
-    save_global_state(enc);
-    save_shard_state(enc);
-  }
-  void load_state(store::Decoder& dec) {
-    load_global_state(dec);
-    load_shard_state(dec);
-  }
 
  private:
   struct PairState {
@@ -263,86 +211,27 @@ class StalenessEngine {
     std::map<PotentialId, ActiveSignal> active;
   };
 
-  // Cross-pair state of a standalone engine; absent in shard mode, where
-  // the equivalent single instances live in the ShardedStalenessEngine.
-  struct OwnedGlobals {
-    OwnedGlobals(std::vector<bgp::VantagePoint> vps_in,
-                 std::set<Asn> ixp_route_server_asns,
-                 std::int64_t calibration_windows, AsRelDb rels_in)
-        : vps(std::move(vps_in)),
-          feed_canon(ixp_route_server_asns),
-          table(std::move(ixp_route_server_asns)),
-          calibration(calibration_windows),
-          rels(std::move(rels_in)) {}
-
-    std::vector<bgp::VantagePoint> vps;
-    // Table-canonical (IXP-strip + prepend-collapse) memo used at the
-    // serial feed boundary to stamp BgpRecord::canonical_path, so the
-    // pipelined absorb task never interns. Declared before `table`, which
-    // consumes the IXP set.
-    bgp::PathCanonicalizer feed_canon;
-    // Double-buffered: monitors read the published epoch through `context`;
-    // close_one_window absorbs into the shadow and flips at the boundary.
-    bgp::EpochTableView table;
-    BgpContext context;
-    PotentialIndex index;
-    Calibration calibration;
-    CommunityReputation reputation;
-    AsRelDb rels;
-    std::unique_ptr<SubpathMonitor> subpath;
-    std::unique_ptr<BorderMonitor> border;
-    std::unique_ptr<IxpMonitor> ixp;
-    // Present only when params.feed_health.enabled.
-    std::unique_ptr<FeedHealthTracker> health;
-  };
-
-  void register_signals(std::vector<StalenessSignal>& out,
-                        std::vector<StalenessSignal>&& batch);
-  void close_one_window(std::int64_t window,
-                        std::vector<StalenessSignal>& out);
   bool portion_changed(const tracemap::ProcessedTrace& before,
                        const tracemap::ProcessedTrace& after,
                        std::size_t border_index) const;
   tr::Freshness initial_freshness(const tr::PairKey& pair,
                                   const CorpusView& view) const;
-  Monitor* monitor_for(Technique technique);
   const Monitor* monitor_for(Technique technique) const;
 
-  EngineParams params_;
   WindowClock clock_;
   tracemap::ProcessingContext& processing_;
-  Rng rng_;
-  // Instrument bundle: built from params_.metrics (standalone) or copied
-  // from the facade's EngineSharedState; all-null when telemetry is off.
+  // Copy of the facade's instrument bundle; all-null when telemetry is off.
   EngineObs obs_;
-  runtime::PoolObs pool_obs_;
-  // Worker pool for window closing; owned in standalone mode (null when
-  // params_.threads <= 1), borrowed from the facade in shard mode.
-  // Declared before the monitors that borrow it so it outlives them.
-  std::unique_ptr<runtime::ThreadPool> owned_pool_;
-  runtime::ThreadPool* pool_ = nullptr;
 
-  std::unique_ptr<OwnedGlobals> owned_;
-
-  // Active cross-pair state: points into owned_ (standalone) or into the
-  // facade's EngineSharedState (shard mode).
-  const BgpContext* context_ = nullptr;
-  PotentialIndex* index_ = nullptr;
-  Calibration* calibration_ = nullptr;
-  CommunityReputation* reputation_ = nullptr;
-  SubpathMonitor* subpath_ = nullptr;
-  BorderMonitor* border_ = nullptr;
-  IxpMonitor* ixp_ = nullptr;
-  // Feed-health tracker: owned (and fed/closed) by a standalone engine,
-  // facade-owned and read-only in shard mode; null when tracking is off.
-  const FeedHealthTracker* health_ = nullptr;
-
-  std::vector<bgp::BgpRecord> pending_records_;
-  // Dispatch-path prepend-collapse memo (empty IXP list) and the epoch
-  // arena backing the per-close dispatch batch; both live on the serial
-  // close path only. The arena resets at the end of every close.
-  bgp::PathCanonicalizer collapse_canon_;
-  runtime::Arena close_arena_;
+  // Cross-pair state borrowed from the facade (see EngineSharedState).
+  PotentialIndex* index_;
+  Calibration* calibration_;
+  CommunityReputation* reputation_;
+  SubpathMonitor* subpath_;
+  BorderMonitor* border_;
+  IxpMonitor* ixp_;
+  // Read-only during shard closes; null when health tracking is off.
+  const FeedHealthTracker* health_;
 
   // BGP monitors hold per-pair entries only, so every shard owns its own.
   std::unique_ptr<AsPathMonitor> aspath_;
@@ -350,8 +239,6 @@ class StalenessEngine {
   std::unique_ptr<BurstMonitor> burst_;
 
   std::map<tr::PairKey, PairState> corpus_;
-  std::map<PotentialId, std::int64_t> last_fired_;
-  std::int64_t next_window_ = 0;  // first window not yet closed
 };
 
 }  // namespace rrr::signals

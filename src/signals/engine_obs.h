@@ -1,10 +1,9 @@
 // Telemetry instrument bundles for the staleness engine (see obs/metrics.h
 // for the cost model and the semantic/runtime domain split).
 //
-// Ownership: the engine that owns a MetricsRegistry (standalone engine or
-// sharded facade) builds one EngineObs of pointers into it and hands
-// *copies* of the relevant sub-bundles to monitors, shards, and the
-// potential index. Instruments are registry-owned, so copies stay valid for
+// Ownership: the engine facade (ShardedStalenessEngine) builds one EngineObs
+// of pointers into its MetricsRegistry and hands *copies* of the relevant
+// sub-bundles to monitors, shards, and the potential index. Instruments are registry-owned, so copies stay valid for
 // the registry's lifetime; a default-constructed bundle is all-null and
 // makes every update a no-op.
 #pragma once

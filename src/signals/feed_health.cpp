@@ -332,11 +332,11 @@ void FeedHealthTracker::load_state(store::Decoder& dec) {
       std::uint32_t id = dec.u32();
       Stream& stream = feed.streams[id];
       stream.baseline = dec.f64();
-      stream.state = static_cast<FeedState>(dec.u8());
+      stream.state = dec.enumeration(FeedState::kRecovering);
       stream.gap_streak = dec.i64();
       stream.ok_streak = dec.i64();
       stream.seen_windows = dec.i64();
-      stream.recent.assign(dec.u64(), 0);
+      stream.recent.assign(dec.count(8), 0);
       for (std::int64_t& v : stream.recent) v = dec.i64();
       stream.recent_pos = dec.u64();
       std::uint64_t pending = dec.u64();
@@ -345,7 +345,7 @@ void FeedHealthTracker::load_state(store::Decoder& dec) {
         stream.pending[window] = dec.i64();
       }
     }
-    feed.totals.assign(dec.u64(), 0);
+    feed.totals.assign(dec.count(8), 0);
     for (std::int64_t& v : feed.totals) v = dec.i64();
     feed.totals_pos = dec.u64();
     feed.seen_windows = dec.i64();

@@ -86,16 +86,16 @@ class PotentialIndex {
   void load_state(store::Decoder& dec) {
     techniques_.clear();
     by_pair_.clear();
-    std::uint64_t count = dec.u64();
+    std::uint64_t count = dec.count(1);
     techniques_.reserve(count);
     for (std::uint64_t i = 0; i < count; ++i) {
-      techniques_.push_back(static_cast<Technique>(dec.u8()));
+      techniques_.push_back(dec.enumeration(Technique::kTraceBorder));
     }
     std::uint64_t pair_count = dec.u64();
     for (std::uint64_t i = 0; i < pair_count; ++i) {
       tr::PairKey pair = get_pair(dec);
       std::vector<Relation>& relations = by_pair_[pair];
-      std::uint64_t relation_count = dec.u64();
+      std::uint64_t relation_count = dec.count(16);
       relations.reserve(relation_count);
       for (std::uint64_t j = 0; j < relation_count; ++j) {
         Relation relation;

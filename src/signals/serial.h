@@ -45,6 +45,10 @@ inline SignalMeta get_meta(store::Decoder& dec) {
   return meta;
 }
 
+// Encoded size of one StalenessSignal: every field is fixed-width
+// (technique, potential, time, window, span, pair, border, meta, community).
+inline constexpr std::size_t kSignalBytes = 1 + 8 + 8 + 8 + 8 + 8 + 8 + 57 + 4;
+
 inline void put_signal(store::Encoder& enc, const StalenessSignal& signal) {
   enc.u8(static_cast<std::uint8_t>(signal.technique));
   enc.u64(signal.potential);
@@ -59,7 +63,7 @@ inline void put_signal(store::Encoder& enc, const StalenessSignal& signal) {
 
 inline StalenessSignal get_signal(store::Decoder& dec) {
   StalenessSignal signal;
-  signal.technique = static_cast<Technique>(dec.u8());
+  signal.technique = dec.enumeration(Technique::kTraceBorder);
   signal.potential = dec.u64();
   signal.time = store::get_time(dec);
   signal.window = dec.i64();
@@ -82,7 +86,7 @@ inline void put_active(store::Encoder& enc, const ActiveSignal& active) {
 inline ActiveSignal get_active(store::Decoder& dec) {
   ActiveSignal active;
   active.potential = dec.u64();
-  active.technique = static_cast<Technique>(dec.u8());
+  active.technique = dec.enumeration(Technique::kTraceBorder);
   active.meta = get_meta(dec);
   active.pair = get_pair(dec);
   active.community = store::get_community(dec);

@@ -15,12 +15,11 @@ EngineParams normalized(EngineParams params) {
   return params;
 }
 
-// Rank of each technique in the canonical merge order — the order the
-// single-engine close path registers batches in (BGP monitors, then table
-// absorption, then trace monitors). Within a rank, signals order by
-// (window, potential, pair, border): subpath/border potentials are shared
-// by several subscriber pairs, so the pair key breaks the tie the same way
-// for every partition.
+// Rank of each technique in the canonical merge order: the BGP monitors in
+// the order phase A closes them, then the trace monitors of phase B. Within
+// a rank, signals order by (window, potential, pair, border):
+// subpath/border potentials are shared by several subscriber pairs, so the
+// pair key breaks the tie the same way for every partition.
 int close_rank(Technique technique) {
   switch (technique) {
     case Technique::kBgpAsPath: return 0;
@@ -124,7 +123,7 @@ ShardedStalenessEngine::ShardedStalenessEngine(
   shards_.reserve(static_cast<std::size_t>(params_.shards));
   for (int i = 0; i < params_.shards; ++i) {
     shards_.push_back(
-        std::make_unique<StalenessEngine>(params_, processing_, shared));
+        std::make_unique<EngineShard>(processing_, clock_, shared));
   }
 }
 
@@ -300,7 +299,7 @@ void ShardedStalenessEngine::close_one_window(
                               static_cast<std::int64_t>(batch.size()));
     out.reserve(out.size() + batch.size());
     for (StalenessSignal& signal : batch) {
-      StalenessEngine& shard = *shards_[shard_of(signal.pair)];
+      EngineShard& shard = *shards_[shard_of(signal.pair)];
       if (!shard.has_pair(signal.pair)) {
         obs::inc(obs_.signals_dropped_refreshed);
         continue;  // refreshed mid-window
@@ -325,7 +324,7 @@ void ShardedStalenessEngine::close_one_window(
     // Each shard sweeps its own corpus; monitors and table are read-only.
     runtime::parallel_for(
         pool_.get(), shards_.size(),
-        [&](std::size_t i) { shards_[i]->run_revocation(window); },
+        [&](std::size_t i) { shards_[i]->run_revocation(); },
         /*grain=*/1);
   }
 }
@@ -417,7 +416,7 @@ void ShardedStalenessEngine::load_state(store::Decoder& dec) {
   rng_.load_state(std::string(dec.str()));
   table_.load_state(dec);
   pending_records_.clear();
-  std::uint64_t record_count = dec.u64();
+  std::uint64_t record_count = dec.count(bgp::kMinRecordBytes);
   pending_records_.reserve(record_count);
   for (std::uint64_t i = 0; i < record_count; ++i) {
     pending_records_.push_back(bgp::get_record(dec));

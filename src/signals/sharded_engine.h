@@ -1,5 +1,12 @@
-// ShardedStalenessEngine: the staleness engine scaled horizontally by
-// partitioning the corpus over N StalenessEngine shards.
+// ShardedStalenessEngine: the staleness engine — the public API of the
+// paper's system, scaled horizontally by partitioning the corpus over N
+// EngineShards.
+//
+// It wires the six monitors to their data feeds, maintains the corpus's
+// freshness state, applies the calibration/scheduling policy of §4.3.1 and
+// the revocation rule of §4.3.2. Contract: feed all BGP records and public
+// traceroutes belonging to a window before calling advance_to() past that
+// window's end.
 //
 // Each pair is routed to shard hash(pair) % N by a platform-stable hash, so
 // a shard owns a disjoint slice of the corpus plus the BGP monitors whose
@@ -20,12 +27,12 @@
 // bgp/epoch_table.h for the buffer protocol and DESIGN.md §10 for the
 // schedule.
 //
-// Cross-pair state that the single-engine design shares *between* pairs —
-// the potential-id space, calibration and community-reputation tallies, the
-// global signal cooldown, and the trace-driven monitors (subpath/border
-// series are deduplicated across pairs; IXP membership is learned globally)
-// — stays in the facade with one instance, because per-shard copies would
-// make the output depend on the partition. Shards borrow it read-only
+// Cross-pair state shared *between* pairs — the potential-id space,
+// calibration and community-reputation tallies, the global signal
+// cooldown, the refresh planner's RNG, and the trace-driven monitors
+// (subpath/border series are deduplicated across pairs; IXP membership is
+// learned globally) — stays in the facade with one instance, because
+// per-shard copies would make the output depend on the partition. Shards borrow it read-only
 // during parallel phases; all mutation happens in facade-serial sections
 // (watch, refresh, registration), which is what keeps the sharded close
 // TSAN-clean without locks.
@@ -36,17 +43,18 @@
 #include <set>
 #include <vector>
 
+#include "bgp/epoch_table.h"
 #include "runtime/task_group.h"
 #include "runtime/thread_pool.h"
+#include "signals/asreldb.h"
 #include "signals/engine.h"
 
 namespace rrr::signals {
 
 class ShardedStalenessEngine {
  public:
-  // Same wiring as StalenessEngine; `params.shards` fixes the partition
-  // count (clamped to >= 1) and `params.threads` the pool size shared by
-  // every shard and monitor.
+  // `params.shards` fixes the partition count (clamped to >= 1) and
+  // `params.threads` the pool size shared by every shard and monitor.
   ShardedStalenessEngine(const EngineParams& params,
                          tracemap::ProcessingContext& processing,
                          std::vector<bgp::VantagePoint> vps,
@@ -55,7 +63,6 @@ class ShardedStalenessEngine {
                          std::set<Asn> ixp_route_server_asns, AsRelDb rels,
                          std::map<topo::IxpId, std::set<Asn>> ixp_members);
 
-  int shard_count() const { return static_cast<int>(shards_.size()); }
   // Stable pair -> shard routing (mix64-based, not std::hash: the partition
   // must not vary across platforms or runs).
   std::size_t shard_of(const tr::PairKey& pair) const;
@@ -96,17 +103,10 @@ class ShardedStalenessEngine {
   const CommunityReputation& community_reputation() const {
     return reputation_;
   }
-  const bgp::VpTableView& table_view() const { return table_.read(); }
-  const PotentialIndex& potentials() const { return index_; }
-  std::int64_t current_window() const { return next_window_; }
-  const WindowClock& clock() const { return clock_; }
   const tracemap::ProcessedTrace* processed_of(const tr::PairKey& pair) const;
   const SubpathMonitor& subpath_monitor() const { return subpath_; }
-  const BorderMonitor& border_monitor() const { return border_; }
   // Suppression counters summed over every shard's community monitor.
   CommunityMonitor::Stats community_stats() const;
-  // Direct shard access (tests / diagnostics).
-  const StalenessEngine& shard(std::size_t i) const { return *shards_[i]; }
 
   // --- checkpoint support ---
   // Serializes the facade's single cross-pair instances followed by every
@@ -125,6 +125,8 @@ class ShardedStalenessEngine {
   EngineParams params_;
   WindowClock clock_;
   tracemap::ProcessingContext& processing_;
+  // The engine's one random stream, drawn only by the serial refresh
+  // planner (plan_refreshes); shards hold no RNG.
   Rng rng_;
   // Facade-owned instrument bundles (all-null when params_.metrics is null);
   // declared before the shards, which copy obs_ at construction.
@@ -164,7 +166,7 @@ class ShardedStalenessEngine {
   // off. Declared before the shards, which borrow it at construction.
   std::unique_ptr<FeedHealthTracker> health_;
 
-  std::vector<std::unique_ptr<StalenessEngine>> shards_;
+  std::vector<std::unique_ptr<EngineShard>> shards_;
   // Global signal cooldown: a potential shared by pairs in different shards
   // must still fire at most once per cooldown window span.
   std::map<PotentialId, std::int64_t> last_fired_;

@@ -312,12 +312,13 @@ void SubpathMonitor::load_state(store::Decoder& dec) {
   by_potential_.clear();
   touched_.clear();
   std::vector<Segment*> in_id_order;
-  std::uint64_t count = dec.u64();
+  // Smallest segment: id, counts and flags around its detector.
+  std::uint64_t count = dec.count(34);
   in_id_order.reserve(count);
   for (std::uint64_t i = 0; i < count; ++i) {
     PotentialId id = dec.u64();
     std::vector<Ipv4> ips;
-    std::uint64_t ip_count = dec.u64();
+    std::uint64_t ip_count = dec.count(4);
     ips.reserve(ip_count);
     for (std::uint64_t j = 0; j < ip_count; ++j) {
       ips.push_back(store::get_ipv4(dec));
@@ -333,7 +334,7 @@ void SubpathMonitor::load_state(store::Decoder& dec) {
         .pending_drop = false,
     });
     segment->series.load_state(dec);
-    std::uint64_t sub_count = dec.u64();
+    std::uint64_t sub_count = dec.count(17);
     segment->subscribers.reserve(sub_count);
     for (std::uint64_t j = 0; j < sub_count; ++j) {
       Subscriber sub;
@@ -356,7 +357,7 @@ void SubpathMonitor::load_state(store::Decoder& dec) {
   }
   auto get_ids = [this, &dec]() {
     std::vector<Segment*> list;
-    std::uint64_t n = dec.u64();
+    std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
       list.push_back(by_potential_.at(dec.u64()));

@@ -39,7 +39,7 @@ inline void put(Encoder& enc, const AsPath& path) {
 }
 inline AsPath get_as_path(Decoder& dec) {
   AsPath path;
-  std::uint64_t n = dec.u64();
+  std::uint64_t n = dec.count(4);  // u32 per ASN
   path.reserve(n);
   for (std::uint64_t i = 0; i < n; ++i) path.push_back(get_asn(dec));
   return path;

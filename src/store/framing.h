@@ -18,8 +18,9 @@
 // kCorrupt, version != kFormatVersion -> kVersionSkew, checksum mismatch ->
 // kBadChecksum. The version check is an exact match in *both* directions:
 // payload layouts change between versions (v2 introduced the interned-
-// attribute dictionary sections), so a frame from any other version —
-// older or newer — is rejected rather than misparsed.
+// attribute dictionary sections, v3 slimmed the engine shard slices), so a
+// frame from any other version — older or newer — is rejected rather than
+// misparsed.
 //
 // Physical IO here optionally flows through an IoContext (io_env.h): the
 // write/fsync/rename/append/read sites consult its fault environment, so a
@@ -31,6 +32,8 @@
 //   1  initial layout
 //   2  table snapshots carry local attribute dictionaries (paths /
 //      community sets as content, routes as u32 dictionary indices)
+//   3  engine shard slices drop the never-used shard RNG, record backlog,
+//      cooldown map and window cursor (the facade owns all four)
 #pragma once
 
 #include <cstdint>
@@ -44,7 +47,7 @@ namespace rrr::store {
 
 class IoContext;
 
-inline constexpr std::uint32_t kFormatVersion = 2;
+inline constexpr std::uint32_t kFormatVersion = 3;
 inline constexpr char kMagic[4] = {'R', 'R', 'R', 'S'};
 
 // FNV-1a 64-bit over `data`, seedable for the two-part kind+payload sweep.

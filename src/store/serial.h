@@ -99,6 +99,34 @@ class Decoder {
     return out;
   }
 
+  // Reads an element count (u64 by default; u32 for the dictionary
+  // sections) and throws kCorrupt unless the rest of the payload could hold
+  // that many elements of at least `min_element_bytes` each. Every count
+  // that sizes an allocation (reserve, assign) is read through here, so a
+  // corrupted count is a classified error instead of a std::length_error
+  // or a multi-gigabyte allocation.
+  template <typename T = std::uint64_t>
+  T count(std::size_t min_element_bytes) {
+    T n = raw<T>();
+    if (n > remaining() / min_element_bytes) {
+      throw StoreError(StoreError::Kind::kCorrupt,
+                       "store payload count exceeds the bytes left");
+    }
+    return n;
+  }
+
+  // Reads a u8-encoded enum whose valid values run from 0 through `last`;
+  // any other byte is kCorrupt, never an out-of-range enum value.
+  template <typename E>
+  E enumeration(E last) {
+    std::uint8_t v = u8();
+    if (v > static_cast<std::uint8_t>(last)) {
+      throw StoreError(StoreError::Kind::kCorrupt,
+                       "store payload enum byte out of range");
+    }
+    return static_cast<E>(v);
+  }
+
   bool done() const { return pos_ == data_.size(); }
   std::size_t remaining() const { return data_.size() - pos_; }
 

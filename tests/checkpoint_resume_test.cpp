@@ -15,21 +15,25 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "bgp/epoch_table.h"
 #include "bgp/table_view.h"
 #include "eval/world.h"
 #include "io/serialize.h"
 #include "netbase/intern.h"
 #include "signals/feed_health.h"
+#include "signals/serial.h"
 #include "store/checkpoint.h"
 #include "store/codec.h"
 #include "store/framing.h"
 #include "store/recovery.h"
 #include "store/serial.h"
+#include "tracemap/serial.h"
 
 namespace rrr::eval {
 namespace {
@@ -756,6 +760,135 @@ TEST(CheckpointResume, TableSnapshotDanglingDictionaryIndexIsRejected) {
   } catch (const store::StoreError& e) {
     EXPECT_EQ(e.kind(), store::StoreError::Kind::kCorrupt);
   }
+}
+
+// Element counts and enum bytes come straight from the snapshot payload.
+// A count no payload could hold must be kCorrupt before it sizes an
+// allocation (not a std::length_error or a giant reserve), and an enum
+// byte outside its enum must be kCorrupt, not a bogus enumerator. Each row
+// decodes one hostile payload; any other exception type fails the row.
+TEST(CheckpointResume, DecodedCountAndEnumRejectionTable) {
+  auto u64_bytes = [](std::uint64_t v) {
+    store::Encoder enc;
+    enc.u64(v);
+    return enc.take();
+  };
+
+  // A small engine mid-run, with a corpus and BGP state, saved whole.
+  WorldParams params = tiny_params(79);
+  World world(params);
+  World::Hooks hooks;
+  world.run_until(world.corpus_t0(), hooks);
+  world.initialize_corpus();
+  world.run_until(world.start() + 6 * world.window_seconds(), hooks);
+  store::Encoder engine_enc;
+  world.engine().save_state(engine_enc);
+  const std::string engine_bytes = engine_enc.take();
+  auto load_engine = [&world](const std::string& bytes) {
+    store::Decoder dec(bytes);
+    world.engine().load_state(dec);
+  };
+
+  // The facade's pending-record count follows its RNG state and table.
+  std::string huge_backlog = engine_bytes;
+  {
+    store::Decoder dec(engine_bytes);
+    dec.str();
+    bgp::EpochTableView scratch;
+    scratch.load_state(dec);
+    const std::size_t at = engine_bytes.size() - dec.remaining();
+    huge_backlog.replace(at, 8, u64_bytes(std::uint64_t{1} << 62));
+  }
+
+  // The freshness byte of the first corpus pair sits right after its
+  // processed trace and before its watched window.
+  std::string bad_freshness = engine_bytes;
+  {
+    const std::vector<signals::PairStateView> states =
+        world.engine().pair_states();
+    ASSERT_FALSE(states.empty());
+    const signals::PairStateView& first = states.front();
+    const tracemap::ProcessedTrace* processed =
+        world.engine().processed_of(first.pair);
+    ASSERT_NE(processed, nullptr);
+    store::Encoder needle;
+    tracemap::put_processed(needle, *processed);
+    const std::size_t freshness_at = needle.buffer().size();
+    needle.u8(static_cast<std::uint8_t>(first.freshness));
+    needle.i64(first.watched_window);
+    const std::size_t at = engine_bytes.find(needle.buffer());
+    ASSERT_NE(at, std::string::npos);
+    ASSERT_EQ(at, engine_bytes.rfind(needle.buffer()));
+    bad_freshness[at + freshness_at] = 7;
+  }
+
+  // Whole dictionary sections of a table snapshot.
+  store::Encoder huge_dictionary;
+  huge_dictionary.u32(0xFFFFFFFFu);  // path dictionary entries
+  store::Encoder huge_dictionary_path;
+  huge_dictionary_path.u32(1);  // one path dictionary entry ...
+  huge_dictionary_path.u64(std::uint64_t{1} << 62);  // ... of 2^62 hops
+
+  store::Encoder bad_signal;
+  signals::put_signal(bad_signal, signals::StalenessSignal{});
+  std::string bad_signal_bytes = bad_signal.take();
+  bad_signal_bytes[0] = static_cast<char>(signals::kTechniqueCount);
+  store::Encoder bad_active;
+  signals::put_active(bad_active, signals::ActiveSignal{});
+  std::string bad_active_bytes = bad_active.take();
+  bad_active_bytes[8] = static_cast<char>(0xFF);  // after the potential id
+
+  struct Row {
+    const char* label;
+    std::function<void()> decode;
+  };
+  const std::vector<Row> rows = {
+      {"AS path count 2^62 with no elements",
+       [&] {
+         const std::string bytes = u64_bytes(std::uint64_t{1} << 62);
+         store::Decoder dec(bytes);
+         store::get_as_path(dec);
+       }},
+      {"table path dictionary count 2^32-1",
+       [&] {
+         store::Decoder dec(huge_dictionary.buffer());
+         bgp::VpTableView().load_state(dec);
+       }},
+      {"table path dictionary entry of 2^62 hops",
+       [&] {
+         store::Decoder dec(huge_dictionary_path.buffer());
+         bgp::VpTableView().load_state(dec);
+       }},
+      {"engine pending-record count 2^62",
+       [&] { load_engine(huge_backlog); }},
+      {"engine corpus freshness byte 7", [&] { load_engine(bad_freshness); }},
+      {"signal technique byte past the last technique",
+       [&] {
+         store::Decoder dec(bad_signal_bytes);
+         signals::get_signal(dec);
+       }},
+      {"active-signal technique byte 0xFF",
+       [&] {
+         store::Decoder dec(bad_active_bytes);
+         signals::get_active(dec);
+       }},
+  };
+  for (const Row& row : rows) {
+    try {
+      row.decode();
+      ADD_FAILURE() << row.label << ": decoded without error";
+    } catch (const store::StoreError& e) {
+      EXPECT_EQ(e.kind(), store::StoreError::Kind::kCorrupt)
+          << row.label << ": " << e.what();
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << row.label << ": unclassified " << e.what();
+    }
+  }
+  // The hostile loads leave the engine half-restored; the pristine bytes
+  // must still load cleanly over it.
+  store::Decoder dec(engine_bytes);
+  world.engine().load_state(dec);
+  EXPECT_TRUE(dec.done());
 }
 
 TEST(CheckpointResume, CorruptedWalIsRejected) {
