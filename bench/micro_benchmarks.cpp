@@ -103,29 +103,85 @@ void BM_ForwardingResolve(benchmark::State& state) {
 }
 BENCHMARK(BM_ForwardingResolve);
 
-void BM_TraceProcessing(benchmark::State& state) {
-  topo::Topology& topology = shared_topology();
-  static routing::ControlPlane cp(topology, 7);
-  static tr::Platform platform(cp, tr::ProberParams{},
+routing::ControlPlane& shared_control_plane() {
+  static routing::ControlPlane cp(shared_topology(), 7);
+  return cp;
+}
+
+tr::Platform& shared_platform() {
+  static tr::Platform platform(shared_control_plane(), tr::ProberParams{},
                                tr::PlatformParams{});
-  static tracemap::ProcessingContext processing(topology, {});
-  Rng rng(8);
-  std::vector<tr::Traceroute> traces;
+  return platform;
+}
+
+// 256 public-style traceroutes over the shared topology, issued once.
+const std::vector<tr::Traceroute>& sample_traces() {
+  static const std::vector<tr::Traceroute> traces = [] {
+    topo::Topology& topology = shared_topology();
+    tr::Platform& platform = shared_platform();
+    Rng rng(8);
+    std::vector<tr::Traceroute> out;
+    for (int i = 0; i < 256; ++i) {
+      tr::ProbeId probe = platform.regular_probes()[rng.index(
+          platform.regular_probes().size())];
+      auto dst_as =
+          static_cast<topo::AsIndex>(rng.index(topology.as_count()));
+      out.push_back(platform.issue(
+          probe, Ipv4(topo::as_block(dst_as).network().value() + 1),
+          TimePoint(static_cast<std::int64_t>(i) * 900), i & 0xF));
+    }
+    return out;
+  }();
+  return traces;
+}
+
+// One traceroute synthesis: forwarding resolution plus the per-hop RTT,
+// loss and filtering draws of a fresh per-measurement generator.
+void BM_ProberMeasure(benchmark::State& state) {
+  topo::Topology& topology = shared_topology();
+  tr::Platform& platform = shared_platform();
+  tr::Prober prober(shared_control_plane(), tr::ProberParams{});
+  Rng rng(10);
+  std::vector<std::pair<tr::ProbeId, Ipv4>> queries;
   for (int i = 0; i < 256; ++i) {
-    tr::ProbeId probe = platform.regular_probes()[rng.index(
-        platform.regular_probes().size())];
-    auto dst_as =
-        static_cast<topo::AsIndex>(rng.index(topology.as_count()));
-    traces.push_back(platform.issue(
-        probe, Ipv4(topo::as_block(dst_as).network().value() + 1),
-        TimePoint(static_cast<std::int64_t>(i) * 900), i & 0xF));
+    auto dst_as = static_cast<topo::AsIndex>(rng.index(topology.as_count()));
+    queries.emplace_back(
+        platform.regular_probes()[rng.index(platform.regular_probes().size())],
+        Ipv4(topo::as_block(dst_as).network().value() + 1));
   }
+  std::int64_t t = 0;
+  for (auto _ : state) {
+    const auto& [probe, dst] = queries[static_cast<std::size_t>(t) & 255];
+    benchmark::DoNotOptimize(prober.measure(platform.probe(probe), dst,
+                                            TimePoint(t * 900), t & 0xF));
+    ++t;
+  }
+}
+BENCHMARK(BM_ProberMeasure);
+
+// Processing without learning: patch (against an empty patcher), annotate,
+// merge the AS path, extract borders.
+void BM_TraceProcessing(benchmark::State& state) {
+  static tracemap::ProcessingContext processing(shared_topology(), {});
+  const std::vector<tr::Traceroute>& traces = sample_traces();
   std::size_t i = 0;
   for (auto _ : state) {
     benchmark::DoNotOptimize(processing.process(traces[i++ & 255]));
   }
 }
 BENCHMARK(BM_TraceProcessing);
+
+// The engine's per-trace path: the patcher learns the trace's triples, then
+// the trace is processed against everything learned so far.
+void BM_TraceIngest(benchmark::State& state) {
+  static tracemap::ProcessingContext processing(shared_topology(), {});
+  const std::vector<tr::Traceroute>& traces = sample_traces();
+  std::size_t i = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(processing.ingest(traces[i++ & 255]));
+  }
+}
+BENCHMARK(BM_TraceIngest);
 
 // End-to-end window closing of the staleness engine, parameterized by
 // engine thread count, shard count, and corpus size. One iteration = one

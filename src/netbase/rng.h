@@ -4,19 +4,96 @@
 // that experiments are exactly reproducible. `Rng` wraps a mersenne twister
 // with the handful of draws the codebase needs; `fork` derives independent
 // sub-streams so modules do not perturb each other's sequences when the
-// call order changes.
+// call order changes. `OnDemandMt64` is the same twister for short-lived
+// per-measurement streams: it yields std::mt19937_64's exact sequence but
+// only computes the state words its draws reach.
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cassert>
 #include <cmath>
 #include <cstdint>
+#include <optional>
 #include <random>
 #include <sstream>
 #include <string>
 #include <vector>
 
 namespace rrr {
+
+// The real-valued draws, defined once for every engine so a stream drawn
+// through Rng and one drawn through OnDemandMt64 agree bit for bit.
+template <typename Engine>
+double uniform01(Engine& engine) {
+  return std::uniform_real_distribution<double>(0.0, 1.0)(engine);
+}
+
+template <typename Engine>
+bool bernoulli(Engine& engine, double p) {
+  if (p <= 0.0) return false;
+  if (p >= 1.0) return true;
+  return std::bernoulli_distribution(p)(engine);
+}
+
+// std::mt19937_64(seed)'s output sequence, computed lazily. Seeding the
+// standard engine fills all 312 state words and its first draw twists all
+// of them again; a stream that stops after a few dozen draws pays for
+// neither. Output j < 156 is the tempered twist of seed words j, j + 1 and
+// j + 156, so the constructor computes words 0..156 and each draw extends
+// the seed recurrence by one word. From draw 156 on the twist reads words
+// it has already rewritten, so the engine falls back to a full
+// std::mt19937_64 advanced past the draws already made.
+class OnDemandMt64 {
+ public:
+  using result_type = std::uint64_t;
+  static constexpr result_type min() { return 0; }
+  static constexpr result_type max() { return ~result_type{0}; }
+
+  explicit OnDemandMt64(std::uint64_t seed) {
+    low_[0] = seed;
+    for (std::size_t i = 1; i <= kShift; ++i) {
+      low_[i] = next_seed_word(low_[i - 1], i);
+    }
+    high_ = low_[kShift];
+  }
+
+  result_type operator()() {
+    if (drawn_ < kShift) {
+      const std::size_t j = drawn_++;
+      if (j > 0) high_ = next_seed_word(high_, j + kShift);
+      const std::uint64_t y =
+          (low_[j] & kUpperMask) | (low_[j + 1] & ~kUpperMask);
+      return temper(high_ ^ (y >> 1) ^ ((y & 1) ? kMatrixA : 0));
+    }
+    if (!full_) {
+      full_.emplace(low_[0]);
+      full_->discard(kShift);
+    }
+    return (*full_)();
+  }
+
+ private:
+  // std::mt19937_64's parameters: n = 312, m = 156, r = 31.
+  static constexpr std::size_t kShift = 156;  // n - m
+  static constexpr std::uint64_t kUpperMask = ~std::uint64_t{0} << 31;
+  static constexpr std::uint64_t kMatrixA = 0xB5026F5AA96619E9ULL;
+
+  static std::uint64_t next_seed_word(std::uint64_t prev, std::size_t i) {
+    return 6364136223846793005ULL * (prev ^ (prev >> 62)) + i;
+  }
+  static std::uint64_t temper(std::uint64_t z) {
+    z ^= (z >> 29) & 0x5555555555555555ULL;
+    z ^= (z << 17) & 0x71D67FFFEDA60000ULL;
+    z ^= (z << 37) & 0xFFF7EEE000000000ULL;
+    return z ^ (z >> 43);
+  }
+
+  std::array<std::uint64_t, kShift + 1> low_;  // seed words 0..156
+  std::uint64_t high_ = 0;  // the highest seed word computed so far
+  std::size_t drawn_ = 0;
+  std::optional<std::mt19937_64> full_;
+};
 
 class Rng {
  public:
@@ -53,15 +130,9 @@ class Rng {
   }
 
   // Uniform real in [0, 1).
-  double uniform() {
-    return std::uniform_real_distribution<double>(0.0, 1.0)(engine_);
-  }
+  double uniform() { return uniform01(engine_); }
 
-  bool bernoulli(double p) {
-    if (p <= 0.0) return false;
-    if (p >= 1.0) return true;
-    return std::bernoulli_distribution(p)(engine_);
-  }
+  bool bernoulli(double p) { return rrr::bernoulli(engine_, p); }
 
   double exponential(double rate) {
     assert(rate > 0.0);

@@ -390,7 +390,7 @@ void BurstMonitor::load_state(store::Decoder& dec) {
     std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(by_id.at(dec.u64()));
+      list.push_back(store::get_defined_id(dec, by_id));
     }
     return list;
   };

@@ -325,6 +325,18 @@ void FeedHealthTracker::save_state(store::Encoder& enc) const {
 }
 
 void FeedHealthTracker::load_state(store::Decoder& dec) {
+  // A ring is empty at position 0 (no close has run since its stream
+  // appeared) or holds exactly the tracker's ring with a position inside
+  // it; close_feed indexes the ring with the position unchecked.
+  const auto ring = static_cast<std::size_t>(
+      std::max<std::int64_t>(params_.max_horizon_windows, 1));
+  auto check_ring = [ring](const std::vector<std::int64_t>& values,
+                           std::uint64_t pos) {
+    if (values.empty() ? pos != 0 : values.size() != ring || pos >= ring) {
+      throw store::StoreError(store::StoreError::Kind::kCorrupt,
+                              "feed-health ring size or position invalid");
+    }
+  };
   auto load_feed = [&](Feed& feed) {
     feed.streams.clear();
     std::uint64_t stream_count = dec.u64();
@@ -339,6 +351,7 @@ void FeedHealthTracker::load_state(store::Decoder& dec) {
       stream.recent.assign(dec.count(8), 0);
       for (std::int64_t& v : stream.recent) v = dec.i64();
       stream.recent_pos = dec.u64();
+      check_ring(stream.recent, stream.recent_pos);
       std::uint64_t pending = dec.u64();
       for (std::uint64_t j = 0; j < pending; ++j) {
         std::int64_t window = dec.i64();
@@ -348,6 +361,7 @@ void FeedHealthTracker::load_state(store::Decoder& dec) {
     feed.totals.assign(dec.count(8), 0);
     for (std::int64_t& v : feed.totals) v = dec.i64();
     feed.totals_pos = dec.u64();
+    check_ring(feed.totals, feed.totals_pos);
     feed.seen_windows = dec.i64();
   };
   load_feed(bgp_);

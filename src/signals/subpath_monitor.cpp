@@ -360,7 +360,7 @@ void SubpathMonitor::load_state(store::Decoder& dec) {
     std::uint64_t n = dec.count(8);
     list.reserve(n);
     for (std::uint64_t i = 0; i < n; ++i) {
-      list.push_back(by_potential_.at(dec.u64()));
+      list.push_back(store::get_defined_id(dec, by_potential_));
     }
     return list;
   };

@@ -70,4 +70,17 @@ inline std::optional<Ipv4> get_opt_ipv4(Decoder& dec) {
   return get_ipv4(dec);
 }
 
+// Resolves an id read from a snapshot against the ids the same snapshot
+// defined earlier; an id it never defined is kCorrupt, not a
+// std::out_of_range escaping the store's error classification.
+template <typename Map>
+typename Map::mapped_type get_defined_id(Decoder& dec, const Map& defined) {
+  auto it = defined.find(dec.u64());
+  if (it == defined.end()) {
+    throw StoreError(StoreError::Kind::kCorrupt,
+                     "store payload references an undefined id");
+  }
+  return it->second;
+}
+
 }  // namespace rrr::store

@@ -18,7 +18,8 @@
 // kCorrupt, version != kFormatVersion -> kVersionSkew, checksum mismatch ->
 // kBadChecksum. The version check is an exact match in *both* directions:
 // payload layouts change between versions (v2 introduced the interned-
-// attribute dictionary sections, v3 slimmed the engine shard slices), so a
+// attribute dictionary sections, v3 slimmed the engine shard slices, v4
+// flattened the hop-patcher section), so a
 // frame from any other version — older or newer — is rejected rather than
 // misparsed.
 //
@@ -34,6 +35,8 @@
 //      community sets as content, routes as u32 dictionary indices)
 //   3  engine shard slices drop the never-used shard RNG, record backlog,
 //      cooldown map and window cursor (the facade owns all four)
+//   4  the hop-patcher section stores one {prev, next, first middle,
+//      ambiguous} entry per pair, sorted, instead of every observed middle
 #pragma once
 
 #include <cstdint>
@@ -47,7 +50,7 @@ namespace rrr::store {
 
 class IoContext;
 
-inline constexpr std::uint32_t kFormatVersion = 3;
+inline constexpr std::uint32_t kFormatVersion = 4;
 inline constexpr char kMagic[4] = {'R', 'R', 'R', 'S'};
 
 // FNV-1a 64-bit over `data`, seedable for the two-part kind+payload sweep.

@@ -4,10 +4,11 @@
 // are wildcards that can never indicate a change.
 #pragma once
 
-#include <map>
-#include <set>
-#include <utility>
+#include <cstdint>
+#include <optional>
+#include <vector>
 
+#include "netbase/flat_map.h"
 #include "netbase/ipv4.h"
 #include "store/codec.h"
 #include "traceroute/traceroute.h"
@@ -22,37 +23,50 @@ class HopPatcher {
   // Returns a copy of `trace` with uniquely-determined stars filled in.
   tr::Traceroute patch(const tr::Traceroute& trace) const;
 
-  // The unique middle hop for (prev, next), when exactly one was observed.
-  std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const;
+  // The address hop `i` of `hops` shows after patching: its own, or for a
+  // star between two responded hops, their unique middle if there is one.
+  // A star's neighbours are never themselves patched stars, so hops can be
+  // patched independently, in any order.
+  std::optional<Ipv4> patched_ip(const std::vector<tr::Hop>& hops,
+                                 std::size_t i) const {
+    if (hops[i].responded() || i == 0 || i + 1 >= hops.size() ||
+        !hops[i - 1].responded() || !hops[i + 1].responded()) {
+      return hops[i].ip;
+    }
+    return unique_middle(*hops[i - 1].ip, *hops[i + 1].ip);
+  }
 
+  // The unique middle hop for (prev, next), when exactly one was observed.
+  std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const {
+    const Middle* middle = middles_.find(key_of(prev, next));
+    if (middle == nullptr || middle->ambiguous) return std::nullopt;
+    return middle->first;
+  }
+
+  // Distinct (prev, next) pairs observed.
   std::size_t triple_count() const { return middles_.size(); }
 
-  // Checkpoint support: the learned triple store round-trips verbatim.
-  void save_state(store::Encoder& enc) const {
-    enc.u64(middles_.size());
-    for (const auto& [ends, mids] : middles_) {
-      store::put(enc, ends.first);
-      store::put(enc, ends.second);
-      enc.u64(mids.size());
-      for (Ipv4 mid : mids) store::put(enc, mid);
-    }
-  }
-  void load_state(store::Decoder& dec) {
-    middles_.clear();
-    std::uint64_t n = dec.u64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      Ipv4 prev = store::get_ipv4(dec);
-      Ipv4 next = store::get_ipv4(dec);
-      std::set<Ipv4>& mids = middles_[{prev, next}];
-      std::uint64_t m = dec.u64();
-      for (std::uint64_t j = 0; j < m; ++j) {
-        mids.insert(store::get_ipv4(dec));
-      }
-    }
-  }
+  // Checkpoint support: entries sorted by (prev, next), each
+  // {prev u32, next u32, first middle u32, ambiguous u8}, so the bytes
+  // depend only on what was observed, never on the table's slot order.
+  void save_state(store::Encoder& enc) const;
+  // Rejects as kCorrupt an ambiguous byte other than 0/1 and keys that are
+  // not strictly increasing (unsorted or duplicated).
+  void load_state(store::Decoder& dec);
 
  private:
-  std::map<std::pair<Ipv4, Ipv4>, std::set<Ipv4>> middles_;
+  // Only "exactly one middle seen" matters, and a set of observed middles
+  // has size one exactly when every observation equals the first: keep the
+  // first and whether any other was ever seen.
+  struct Middle {
+    Ipv4 first;
+    bool ambiguous = false;
+  };
+  static std::uint64_t key_of(Ipv4 prev, Ipv4 next) {
+    return (std::uint64_t{prev.value()} << 32) | next.value();
+  }
+
+  FlatMap<std::uint64_t, Middle> middles_;
 };
 
 }  // namespace rrr::tracemap

@@ -37,11 +37,13 @@ class ProcessingContext {
                            params.seed)),
         aliases_(topology, params.alias),
         geo_(topology, params.geo),
-        processor_(ip2as_, aliases_, geo_, &patcher_) {}
+        annotator_(topology, ip2as_, aliases_, geo_),
+        processor_(annotator_, &patcher_) {}
 
   const Ip2As& ip2as() const { return ip2as_; }
   const AliasResolver& aliases() const { return aliases_; }
   const Geolocator& geo() const { return geo_; }
+  const HopAnnotator& annotator() const { return annotator_; }
   HopPatcher& patcher() { return patcher_; }
 
   // Learns patch triples from a measurement, then processes it.
@@ -58,6 +60,7 @@ class ProcessingContext {
   Ip2As ip2as_;
   AliasResolver aliases_;
   Geolocator geo_;
+  HopAnnotator annotator_;
   HopPatcher patcher_;
   TraceProcessor processor_;
 };

@@ -13,9 +13,32 @@ ChangeKind classify_change(const ProcessedTrace& before,
   return ChangeKind::kNone;
 }
 
-ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
-  tr::Traceroute trace = patcher_ ? patcher_->patch(raw) : raw;
+HopAnnotator::HopAnnotator(const topo::Topology& topology,
+                           const Ip2As& ip2as, const AliasResolver& aliases,
+                           const Geolocator& geo)
+    : ip2as_(ip2as), aliases_(aliases), geo_(geo) {
+  std::size_t interfaces = 0;
+  for (const topo::Router& router : topology.routers()) {
+    interfaces += router.interfaces.size();
+  }
+  table_.reserve(interfaces);
+  for (const topo::Router& router : topology.routers()) {
+    for (Ipv4 ip : router.interfaces) {
+      table_.try_emplace(ip.value(), lookup(ip));
+    }
+  }
+}
 
+HopAnnotation HopAnnotator::lookup(Ipv4 ip) const {
+  MapResult mapped = ip2as_.map(ip);
+  return HopAnnotation{.router = aliases_.resolve(ip),
+                       .asn = mapped.asn,
+                       .ixp = mapped.ixp,
+                       .is_ixp = mapped.is_ixp,
+                       .city = geo_.locate(ip)};
+}
+
+ProcessedTrace TraceProcessor::process(const tr::Traceroute& trace) const {
   ProcessedTrace out;
   out.trace_id = trace.id;
   out.probe = trace.probe;
@@ -25,16 +48,16 @@ ProcessedTrace TraceProcessor::process(const tr::Traceroute& raw) const {
   out.reached = trace.reached;
 
   out.hops.reserve(trace.hops.size());
-  for (const tr::Hop& hop : trace.hops) {
+  for (std::size_t i = 0; i < trace.hops.size(); ++i) {
     ProcessedHop ph;
-    if (hop.responded()) {
-      ph.ip = hop.ip;
-      MapResult mapped = ip2as_.map(*hop.ip);
-      ph.asn = mapped.asn;
-      ph.is_ixp = mapped.is_ixp;
-      ph.ixp = mapped.ixp;
-      ph.router = aliases_.resolve(*hop.ip);
-      ph.city = geo_.locate(*hop.ip);
+    ph.ip = patcher_ ? patcher_->patched_ip(trace.hops, i) : trace.hops[i].ip;
+    if (ph.ip) {
+      HopAnnotation annotation = annotator_.annotate(*ph.ip);
+      ph.asn = annotation.asn;
+      ph.is_ixp = annotation.is_ixp;
+      ph.ixp = annotation.ixp;
+      ph.router = annotation.router;
+      ph.city = annotation.city;
     }
     out.hops.push_back(std::move(ph));
   }

@@ -7,6 +7,8 @@
 #include <vector>
 
 #include "netbase/asn.h"
+#include "netbase/flat_map.h"
+#include "topology/topology.h"
 #include "topology/types.h"
 #include "tracemap/alias.h"
 #include "tracemap/geolocate.h"
@@ -77,19 +79,55 @@ enum class ChangeKind : std::uint8_t { kNone, kBorderLevel, kAsLevel };
 ChangeKind classify_change(const ProcessedTrace& before,
                            const ProcessedTrace& after);
 
-class TraceProcessor {
- public:
-  // `patcher` may be null (no unresponsive-hop patching).
-  TraceProcessor(const Ip2As& ip2as, const AliasResolver& aliases,
-                 const Geolocator& geo, const HopPatcher* patcher = nullptr)
-      : ip2as_(ip2as), aliases_(aliases), geo_(geo), patcher_(patcher) {}
+// What the pipeline attaches to one responded hop: the IP-to-AS, alias and
+// geolocation answers for its address.
+struct HopAnnotation {
+  RouterKey router;
+  Asn asn;  // invalid when unmapped
+  topo::IxpId ixp = topo::kNoIxp;
+  bool is_ixp = false;
+  std::optional<topo::CityId> city;
+};
 
-  ProcessedTrace process(const tr::Traceroute& trace) const;
+// Answers the three per-hop lookups for an address. Every router interface
+// the topology has at construction is annotated once, up front, into a
+// read-only table, so a hop on a router costs one probe instead of a trie
+// walk and three hash lookups. Any other address (a destination host, an
+// interface a later topology change added) takes the three lookups. The
+// mapper, resolver and geolocator never change after construction, so both
+// paths give the same answer for every address.
+class HopAnnotator {
+ public:
+  HopAnnotator(const topo::Topology& topology, const Ip2As& ip2as,
+               const AliasResolver& aliases, const Geolocator& geo);
+
+  HopAnnotation annotate(Ipv4 ip) const {
+    if (const HopAnnotation* hit = table_.find(ip.value())) return *hit;
+    return lookup(ip);
+  }
+  // The three lookups, bypassing the table.
+  HopAnnotation lookup(Ipv4 ip) const;
+
+  std::size_t table_size() const { return table_.size(); }
 
  private:
   const Ip2As& ip2as_;
   const AliasResolver& aliases_;
   const Geolocator& geo_;
+  FlatMap<std::uint32_t, HopAnnotation> table_;
+};
+
+class TraceProcessor {
+ public:
+  // `patcher` may be null (no unresponsive-hop patching).
+  explicit TraceProcessor(const HopAnnotator& annotator,
+                          const HopPatcher* patcher = nullptr)
+      : annotator_(annotator), patcher_(patcher) {}
+
+  ProcessedTrace process(const tr::Traceroute& trace) const;
+
+ private:
+  const HopAnnotator& annotator_;
   const HopPatcher* patcher_;
 };
 

@@ -48,7 +48,7 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
   if (!path.reachable) return trace;
 
   // Per-measurement randomness that does not depend on call order.
-  Rng rng(hash_combine(
+  OnDemandMt64 rng(hash_combine(
       hash_combine(params_.seed, probe.id),
       hash_combine(dst_ip.value(),
                    hash_combine(static_cast<std::uint64_t>(t.seconds()),
@@ -71,13 +71,13 @@ Traceroute Prober::measure(const Probe& probe, Ipv4 dst_ip, TimePoint t,
     // that same-city hops still show sub-millisecond latency.
     double base_rtt = 2.0 * cumulative_km / 200.0 + 0.2;
     double rtt =
-        base_rtt * (1.0 + params_.rtt_jitter_fraction * rng.uniform());
+        base_rtt * (1.0 + params_.rtt_jitter_fraction * uniform01(rng));
 
     Hop hop;
     bool silent = router != topo::kNoRouter && router_is_silent(router);
-    bool lost = rng.bernoulli(params_.intermittent_loss_prob);
+    bool lost = bernoulli(rng, params_.intermittent_loss_prob);
     bool filtered = is_destination &&
-                    rng.bernoulli(params_.unresponsive_destination_prob);
+                    bernoulli(rng, params_.unresponsive_destination_prob);
     if (!silent && !lost && !filtered) {
       hop.ip = path.hops[i];
       hop.rtt_ms = rtt;
@@ -101,10 +101,11 @@ std::optional<Ipv4> Prober::probe_hop(const Probe& probe, Ipv4 dst_ip,
   if (router != topo::kNoRouter && router_is_silent(router)) {
     return std::nullopt;
   }
-  Rng rng(hash_combine(hash_combine(params_.seed, 0x77135ull),
-                       hash_combine(static_cast<std::uint64_t>(t.seconds()),
-                                    flow_id + ttl)));
-  if (rng.bernoulli(params_.intermittent_loss_prob)) return std::nullopt;
+  OnDemandMt64 rng(
+      hash_combine(hash_combine(params_.seed, 0x77135ull),
+                   hash_combine(static_cast<std::uint64_t>(t.seconds()),
+                                flow_id + ttl)));
+  if (bernoulli(rng, params_.intermittent_loss_prob)) return std::nullopt;
   return path.hops[static_cast<std::size_t>(ttl - 1)];
 }
 

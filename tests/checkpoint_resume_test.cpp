@@ -26,7 +26,12 @@
 #include "eval/world.h"
 #include "io/serialize.h"
 #include "netbase/intern.h"
+#include "signals/aspath_monitor.h"
+#include "signals/border_monitor.h"
+#include "signals/burst_monitor.h"
+#include "signals/community_monitor.h"
 #include "signals/feed_health.h"
+#include "signals/subpath_monitor.h"
 #include "signals/serial.h"
 #include "store/checkpoint.h"
 #include "store/codec.h"
@@ -838,6 +843,75 @@ TEST(CheckpointResume, DecodedCountAndEnumRejectionTable) {
   std::string bad_active_bytes = bad_active.take();
   bad_active_bytes[8] = static_cast<char>(0xFF);  // after the potential id
 
+  // Monitor snapshots with no entries whose final id list names potential
+  // 999, which the snapshot never defined.
+  constexpr std::uint64_t kUndefinedId = 999;
+  auto undefined_id_tail = [](store::Encoder& enc, int empty_counts) {
+    for (int i = 0; i < empty_counts; ++i) enc.u64(0);
+    enc.u64(1);
+    enc.u64(kUndefinedId);
+  };
+  store::Encoder aspath_undefined;  // entries, pairs, dsts; dirty list
+  undefined_id_tail(aspath_undefined, 3);
+  aspath_undefined.u64(0);  // hot list
+  store::Encoder border_undefined;  // entries, pairs; touched list
+  undefined_id_tail(border_undefined, 2);
+  store::Encoder burst_undefined;  // entries, pairs, dsts; dirty list
+  undefined_id_tail(burst_undefined, 3);
+  store::Encoder community_undefined;
+  for (int i = 0; i < 8; ++i) community_undefined.i64(0);  // stats
+  undefined_id_tail(community_undefined, 3);  // entries, pairs, dsts; pending
+  store::Encoder subpath_undefined;  // segments, pairs; touched list
+  undefined_id_tail(subpath_undefined, 2);
+  subpath_undefined.u64(0);  // observations
+  const signals::BgpContext no_bgp;
+  signals::CommunityReputation reputation;
+
+  // Feed-health snapshots: one BGP stream whose count ring and position,
+  // and a feed totals ring and position, are as given; the tracker's own
+  // ring is the default 48 windows.
+  auto feed_health = [](std::uint64_t recent_size, std::uint64_t recent_pos,
+                        std::uint64_t totals_size, std::uint64_t totals_pos) {
+    store::Encoder enc;
+    enc.u64(1);  // one BGP stream
+    enc.u32(7);
+    enc.f64(3.0);
+    enc.u8(0);  // healthy
+    enc.i64(0);
+    enc.i64(0);
+    enc.i64(5);
+    enc.u64(recent_size);
+    for (std::uint64_t i = 0; i < recent_size; ++i) enc.i64(1);
+    enc.u64(recent_pos);
+    enc.u64(0);  // pending
+    enc.u64(totals_size);
+    for (std::uint64_t i = 0; i < totals_size; ++i) enc.i64(1);
+    enc.u64(totals_pos);
+    enc.i64(5);
+    for (int i = 0; i < 6; ++i) enc.u64(0);  // trace feed, collectors, VPs
+    enc.boolean(false);
+    enc.boolean(false);
+    enc.f64(0.0);
+    enc.f64(0.0);
+    return enc.take();
+  };
+  auto load_feed_health = [](const std::string& bytes) {
+    signals::FeedHealthParams params;
+    params.enabled = true;
+    signals::FeedHealthTracker tracker(params);
+    store::Decoder dec(bytes);
+    tracker.load_state(dec);
+  };
+  {
+    // The same layout with in-range rings and with never-closed (empty)
+    // rings loads: the rows below fail for their ring fields alone.
+    const signals::FeedHealthParams defaults;
+    const auto ring =
+        static_cast<std::uint64_t>(defaults.max_horizon_windows);
+    load_feed_health(feed_health(ring, ring - 1, ring, 0));
+    load_feed_health(feed_health(0, 0, 0, 0));
+  }
+
   struct Row {
     const char* label;
     std::function<void()> decode;
@@ -872,6 +946,41 @@ TEST(CheckpointResume, DecodedCountAndEnumRejectionTable) {
          store::Decoder dec(bad_active_bytes);
          signals::get_active(dec);
        }},
+      {"AS-path monitor dirty list names an undefined potential",
+       [&] {
+         store::Decoder dec(aspath_undefined.buffer());
+         signals::AsPathMonitor(no_bgp).load_state(dec);
+       }},
+      {"border monitor touched list names an undefined potential",
+       [&] {
+         store::Decoder dec(border_undefined.buffer());
+         signals::BorderMonitor().load_state(dec);
+       }},
+      {"burst monitor dirty list names an undefined potential",
+       [&] {
+         store::Decoder dec(burst_undefined.buffer());
+         signals::BurstMonitor(no_bgp).load_state(dec);
+       }},
+      {"community monitor pending list names an undefined potential",
+       [&] {
+         store::Decoder dec(community_undefined.buffer());
+         signals::CommunityMonitor(no_bgp, reputation).load_state(dec);
+       }},
+      {"subpath monitor touched list names an undefined potential",
+       [&] {
+         store::Decoder dec(subpath_undefined.buffer());
+         signals::SubpathMonitor().load_state(dec);
+       }},
+      {"feed-health stream position equal to its ring size",
+       [&] { load_feed_health(feed_health(48, 48, 48, 0)); }},
+      {"feed-health totals position past its ring",
+       [&] { load_feed_health(feed_health(48, 0, 48, 1000)); }},
+      {"feed-health empty stream ring at position 5",
+       [&] { load_feed_health(feed_health(0, 5, 48, 0)); }},
+      {"feed-health empty totals ring at position 1",
+       [&] { load_feed_health(feed_health(48, 0, 0, 1)); }},
+      {"feed-health stream ring of 100 windows, tracker ring 48",
+       [&] { load_feed_health(feed_health(100, 60, 48, 0)); }},
   };
   for (const Row& row : rows) {
     try {

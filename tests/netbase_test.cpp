@@ -1,8 +1,10 @@
 // Unit tests for the foundational value types (src/netbase).
 #include <gtest/gtest.h>
 
+#include <random>
 #include <set>
 #include <unordered_set>
+#include <vector>
 
 #include "netbase/asn.h"
 #include "netbase/community.h"
@@ -235,6 +237,60 @@ TEST(Rng, SplitDoesNotPerturbParent) {
   a.split(4);
   for (int i = 0; i < 20; ++i) {
     EXPECT_EQ(a.uniform_int(0, 1 << 30), b.uniform_int(0, 1 << 30));
+  }
+}
+
+// OnDemandMt64 must be std::mt19937_64 draw for draw: through the lazy
+// first twist (draws 0..155), across the fallback (155/156/157), across the
+// standard engine's second twist (311/312/313) and past a third (624).
+TEST(OnDemandMt64, MatchesStdMt19937_64) {
+  std::vector<std::uint64_t> seeds = {0, 1, 5489, ~std::uint64_t{0},
+                                      std::uint64_t{1} << 63};
+  Rng seed_source(2020);
+  while (seeds.size() < 1000) seeds.push_back(seed_source.engine()());
+  for (std::size_t s = 0; s < seeds.size(); ++s) {
+    // Every seed crosses the lazy/fallback boundary; every 50th runs long.
+    const int draws = s % 50 == 0 ? 640 : 160;
+    std::mt19937_64 reference(seeds[s]);
+    OnDemandMt64 lazy(seeds[s]);
+    for (int j = 0; j < draws; ++j) {
+      ASSERT_EQ(lazy(), reference()) << "seed " << seeds[s] << " draw " << j;
+    }
+  }
+}
+
+TEST(OnDemandMt64, DrawCountsAroundTheTwistBoundaries) {
+  for (std::uint64_t seed : {std::uint64_t{0}, ~std::uint64_t{0},
+                             std::uint64_t{0x9E3779B97F4A7C15ULL}}) {
+    for (int stop : {1, 155, 156, 157, 311, 312, 313, 624, 625}) {
+      std::mt19937_64 reference(seed);
+      OnDemandMt64 lazy(seed);
+      std::uint64_t last_ref = 0, last_lazy = 0;
+      for (int j = 0; j < stop; ++j) {
+        last_ref = reference();
+        last_lazy = lazy();
+      }
+      EXPECT_EQ(last_lazy, last_ref) << "seed " << seed << " draw " << stop;
+    }
+  }
+}
+
+// uniform01/bernoulli through the lazy engine give exactly what Rng gives
+// for the same seed, in any interleaving, across the fallback point.
+TEST(OnDemandMt64, DrawsMatchRng) {
+  for (std::uint64_t seed = 0; seed < 200; ++seed) {
+    Rng rng(seed * 0x2545F4914F6CDD1DULL);
+    OnDemandMt64 lazy(seed * 0x2545F4914F6CDD1DULL);
+    for (int j = 0; j < 200; ++j) {
+      if ((seed + static_cast<std::uint64_t>(j)) % 3 == 0) {
+        const double p = 0.02 + 0.3 * static_cast<double>(j % 4);
+        ASSERT_EQ(bernoulli(lazy, p), rng.bernoulli(p))
+            << "seed " << seed << " draw " << j;
+      } else {
+        ASSERT_EQ(uniform01(lazy), rng.uniform())
+            << "seed " << seed << " draw " << j;
+      }
+    }
   }
 }
 

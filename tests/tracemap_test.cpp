@@ -1,7 +1,13 @@
 // Tests for the Appendix-A traceroute processing pipeline (src/tracemap).
 #include <gtest/gtest.h>
 
+#include <map>
+#include <set>
+#include <utility>
+
+#include "netbase/rng.h"
 #include "routing/control_plane.h"
+#include "store/serial.h"
 #include "topology/builder.h"
 #include "tracemap/pipeline.h"
 #include "traceroute/platform.h"
@@ -131,6 +137,164 @@ TEST(HopPatcher, AmbiguousMiddlesStayWild) {
   EXPECT_FALSE(patched.hops[1].responded());
 }
 
+// The map-of-sets patcher HopPatcher replaced, kept as the model the flat
+// table must agree with: every observed middle per (prev, next), unique iff
+// exactly one.
+class MapSetPatcher {
+ public:
+  void observe(const tr::Traceroute& trace) {
+    const auto& hops = trace.hops;
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      if (hops[i - 1].responded() && hops[i].responded() &&
+          hops[i + 1].responded()) {
+        middles_[{*hops[i - 1].ip, *hops[i + 1].ip}].insert(*hops[i].ip);
+      }
+    }
+  }
+  std::optional<Ipv4> unique_middle(Ipv4 prev, Ipv4 next) const {
+    auto it = middles_.find({prev, next});
+    if (it == middles_.end() || it->second.size() != 1) return std::nullopt;
+    return *it->second.begin();
+  }
+  tr::Traceroute patch(const tr::Traceroute& trace) const {
+    tr::Traceroute patched = trace;
+    auto& hops = patched.hops;
+    for (std::size_t i = 1; i + 1 < hops.size(); ++i) {
+      if (!hops[i].responded() && hops[i - 1].responded() &&
+          hops[i + 1].responded()) {
+        if (auto middle = unique_middle(*hops[i - 1].ip, *hops[i + 1].ip)) {
+          hops[i].ip = middle;
+          hops[i].rtt_ms = (hops[i - 1].rtt_ms + hops[i + 1].rtt_ms) / 2.0;
+        }
+      }
+    }
+    return patched;
+  }
+  std::size_t triple_count() const { return middles_.size(); }
+
+ private:
+  std::map<std::pair<Ipv4, Ipv4>, std::set<Ipv4>> middles_;
+};
+
+// A small alphabet makes repeated and ambiguous middles common; it holds
+// 0.0.0.0 and 255.255.255.255 so the all-ones table key is exercised too.
+std::vector<Ipv4> patch_alphabet() {
+  return {Ipv4(0), Ipv4(1), Ipv4(0x0A000001), Ipv4(0x0A000002),
+          Ipv4(0x0A000003), Ipv4(0xC0A80001), Ipv4(0xFFFFFFFEu),
+          Ipv4(0xFFFFFFFFu)};
+}
+
+tr::Traceroute random_trace(Rng& rng, const std::vector<Ipv4>& alphabet,
+                            double star_prob) {
+  tr::Traceroute trace;
+  const auto length = static_cast<std::size_t>(rng.uniform_int(1, 9));
+  for (std::size_t i = 0; i < length; ++i) {
+    tr::Hop hop;
+    if (!rng.bernoulli(star_prob)) {
+      hop.ip = alphabet[rng.index(alphabet.size())];
+      hop.rtt_ms = static_cast<double>(rng.uniform_int(1, 400)) / 4.0;
+    }
+    trace.hops.push_back(hop);
+  }
+  return trace;
+}
+
+void expect_same_hops(const tr::Traceroute& got, const tr::Traceroute& want) {
+  ASSERT_EQ(got.hops.size(), want.hops.size());
+  for (std::size_t i = 0; i < got.hops.size(); ++i) {
+    EXPECT_EQ(got.hops[i].ip, want.hops[i].ip) << "hop " << i;
+    EXPECT_EQ(got.hops[i].rtt_ms, want.hops[i].rtt_ms) << "hop " << i;
+  }
+}
+
+TEST(HopPatcher, FlatTableMatchesMapOfSetsModel) {
+  const std::vector<Ipv4> alphabet = patch_alphabet();
+  for (std::uint64_t seed = 1; seed <= 40; ++seed) {
+    Rng rng(seed);
+    HopPatcher flat;
+    MapSetPatcher model;
+    const double star_prob = 0.1 + 0.05 * static_cast<double>(seed % 6);
+    for (int step = 0; step < 300; ++step) {
+      tr::Traceroute trace = random_trace(rng, alphabet, star_prob);
+      if (rng.bernoulli(0.5)) {
+        flat.observe(trace);
+        model.observe(trace);
+      } else {
+        expect_same_hops(flat.patch(trace), model.patch(trace));
+      }
+      if (step % 97 == 96) {
+        // Save/load round trip mid-stream: the reloaded table answers and
+        // saves exactly like the original from here on.
+        store::Encoder enc;
+        flat.save_state(enc);
+        HopPatcher reloaded;
+        store::Decoder dec(enc.buffer());
+        reloaded.load_state(dec);
+        EXPECT_TRUE(dec.done());
+        store::Encoder again;
+        reloaded.save_state(again);
+        EXPECT_EQ(again.buffer(), enc.buffer());
+        flat = std::move(reloaded);
+      }
+    }
+    EXPECT_EQ(flat.triple_count(), model.triple_count());
+    for (Ipv4 prev : alphabet) {
+      for (Ipv4 next : alphabet) {
+        EXPECT_EQ(flat.unique_middle(prev, next),
+                  model.unique_middle(prev, next))
+            << "seed " << seed << " " << prev << " .. " << next;
+      }
+    }
+  }
+}
+
+TEST(HopPatcher, SnapshotWithBadEntriesIsCorrupt) {
+  auto entry = [](store::Encoder& enc, std::uint32_t prev, std::uint32_t next,
+                  std::uint8_t ambiguous) {
+    enc.u32(prev);
+    enc.u32(next);
+    enc.u32(0x0A000009);
+    enc.u8(ambiguous);
+  };
+  store::Encoder ambiguous_byte;
+  ambiguous_byte.u64(1);
+  entry(ambiguous_byte, 1, 2, 2);
+  store::Encoder duplicate;
+  duplicate.u64(2);
+  entry(duplicate, 1, 2, 0);
+  entry(duplicate, 1, 2, 1);
+  store::Encoder unsorted;
+  unsorted.u64(2);
+  entry(unsorted, 1, 3, 0);
+  entry(unsorted, 1, 2, 0);
+  store::Encoder prev_unsorted;
+  prev_unsorted.u64(2);
+  entry(prev_unsorted, 2, 0, 0);
+  entry(prev_unsorted, 1, 9, 0);
+  for (const store::Encoder* bytes :
+       {&ambiguous_byte, &duplicate, &unsorted, &prev_unsorted}) {
+    HopPatcher patcher;
+    store::Decoder dec(bytes->buffer());
+    try {
+      patcher.load_state(dec);
+      ADD_FAILURE() << "decoded without error";
+    } catch (const store::StoreError& e) {
+      EXPECT_EQ(e.kind(), store::StoreError::Kind::kCorrupt) << e.what();
+    }
+  }
+  // The well-formed neighbours of those payloads load.
+  store::Encoder good;
+  good.u64(2);
+  entry(good, 1, 2, 1);
+  entry(good, 1, 3, 0);
+  HopPatcher patcher;
+  store::Decoder dec(good.buffer());
+  patcher.load_state(dec);
+  EXPECT_TRUE(dec.done());
+  EXPECT_EQ(patcher.unique_middle(Ipv4(1), Ipv4(2)), std::nullopt);
+  EXPECT_EQ(patcher.unique_middle(Ipv4(1), Ipv4(3)), Ipv4(0x0A000009));
+}
+
 class ProcessingFixture : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -203,6 +367,49 @@ TEST_F(ProcessingFixture, BorderRouterPathMatchesGroundTruthCrossings) {
     EXPECT_EQ(processed.borders[i].far_as,
               topology_.as_at(truth.crossings[i].to_as).asn);
   }
+}
+
+// TraceProcessor patches stars while it annotates; the result must equal
+// patching the whole trace first and processing it without a patcher.
+TEST_F(ProcessingFixture, InlinePatchingMatchesPatchThenProcess) {
+  HopPatcher patcher;
+  Rng rng(62);
+  std::vector<tr::Traceroute> traces;
+  for (int i = 0; i < 200; ++i) {
+    tr::ProbeId probe = platform_->regular_probes()[rng.index(
+        platform_->regular_probes().size())];
+    Ipv4 dst = platform_->probe(platform_->anchors()[rng.index(
+                                    platform_->anchors().size())])
+                   .ip;
+    traces.push_back(platform_->issue(probe, dst, TimePoint(i * 900), i % 5));
+    patcher.observe(traces.back());
+  }
+  TraceProcessor inline_patching(processing_->annotator(), &patcher);
+  TraceProcessor unpatched(processing_->annotator());
+  int patched_hops = 0;
+  for (tr::Traceroute trace : traces) {
+    // Knock out a third of the hops so there are stars to patch.
+    for (tr::Hop& hop : trace.hops) {
+      if (rng.bernoulli(0.33)) hop.ip.reset();
+    }
+    tr::Traceroute patched = patcher.patch(trace);
+    ProcessedTrace got = inline_patching.process(trace);
+    ProcessedTrace want = unpatched.process(patched);
+    ASSERT_EQ(got.hops.size(), want.hops.size());
+    for (std::size_t i = 0; i < got.hops.size(); ++i) {
+      EXPECT_EQ(got.hops[i].ip, want.hops[i].ip);
+      EXPECT_EQ(got.hops[i].asn, want.hops[i].asn);
+      EXPECT_EQ(got.hops[i].is_ixp, want.hops[i].is_ixp);
+      EXPECT_EQ(got.hops[i].ixp, want.hops[i].ixp);
+      EXPECT_EQ(got.hops[i].router, want.hops[i].router);
+      EXPECT_EQ(got.hops[i].city, want.hops[i].city);
+      patched_hops += !trace.hops[i].responded() && got.hops[i].responded();
+    }
+    EXPECT_EQ(got.as_path, want.as_path);
+    EXPECT_EQ(got.has_as_loop, want.has_as_loop);
+    EXPECT_EQ(got.borders, want.borders);
+  }
+  EXPECT_GT(patched_hops, 0);
 }
 
 TEST_F(ProcessingFixture, ClassifyChangeDistinguishesGranularities) {

@@ -2,6 +2,8 @@
 // consistency, and the staleness oracle.
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "eval/metrics.h"
 #include "eval/world.h"
 
@@ -48,6 +50,57 @@ RunResult run_world(std::uint64_t seed) {
                      change.pair.dst.value()));
   }
   return result;
+}
+
+bool same_annotation(const tracemap::HopAnnotation& a,
+                     const tracemap::HopAnnotation& b) {
+  return a.router == b.router && a.asn == b.asn && a.ixp == b.ixp &&
+         a.is_ixp == b.is_ixp && a.city == b.city;
+}
+
+// The processing context's per-interface table answers exactly what the
+// IP-to-AS mapper, alias resolver and geolocator answer, for every router
+// interface — including the ones IXP joins added after the table was built
+// — and for destination hosts and arbitrary addresses.
+TEST(World, HopAnnotationTableMatchesTheThreeLookups) {
+  WorldParams params = fast_params(17);
+  params.dynamics.ixp_join_per_day = 6.0;
+  World world(params);
+  const tracemap::HopAnnotator& annotator = world.processing().annotator();
+  const std::size_t table_size = annotator.table_size();
+  world.run_until(world.corpus_t0());
+  world.initialize_corpus();
+  world.run_until(world.start() + 8 * world.window_seconds());
+
+  const tracemap::ProcessingContext& processing = world.processing();
+  auto check = [&](Ipv4 ip) {
+    tracemap::MapResult mapped = processing.ip2as().map(ip);
+    tracemap::HopAnnotation direct{.router = processing.aliases().resolve(ip),
+                                   .asn = mapped.asn,
+                                   .ixp = mapped.ixp,
+                                   .is_ixp = mapped.is_ixp,
+                                   .city = processing.geo().locate(ip)};
+    EXPECT_TRUE(same_annotation(annotator.annotate(ip), direct))
+        << ip.to_string();
+    EXPECT_TRUE(same_annotation(annotator.lookup(ip), direct))
+        << ip.to_string();
+  };
+  std::size_t interfaces = 0;
+  for (const topo::Router& router : world.topology().routers()) {
+    for (Ipv4 ip : router.interfaces) {
+      check(ip);
+      ++interfaces;
+    }
+  }
+  // IXP joins ran and added interfaces the table does not hold.
+  EXPECT_GT(interfaces, table_size);
+  for (Ipv4 dst : world.corpus_dests()) check(dst);
+  for (Ipv4 dst : world.public_dests()) check(dst);
+  Rng rng(17);
+  for (int i = 0; i < 2000; ++i) {
+    check(Ipv4(static_cast<std::uint32_t>(
+        rng.uniform_int(0, std::numeric_limits<std::uint32_t>::max()))));
+  }
 }
 
 TEST(World, FullyDeterministicPerSeed) {
