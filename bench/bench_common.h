@@ -294,8 +294,6 @@ inline eval::WorldParams retrospective_params(const Flags& flags) {
   params.topology.num_stub = 200;
   params.engine_threads = static_cast<int>(flags.get_int("engine-threads", 1));
   params.engine_shards = static_cast<int>(flags.get_int("engine-shards", 1));
-  // --pipeline 0 recovers the serial absorb schedule (DESIGN.md §10).
-  params.pipeline_absorb = flags.get_int("pipeline", 1) != 0;
   // A live /metrics endpoint is useless without a registry behind it, so
   // --serve-obs (and --serve, which exposes the same fixed routes next to
   // the /v1 family) implies telemetry even when --stats-json is absent.

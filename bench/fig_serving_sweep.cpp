@@ -12,12 +12,12 @@
 //     block the close — see serve/snapshot.h).
 //
 //  2. *Determinism grid* — the world re-runs across
-//     (engine_shards × engine_threads × pipeline_absorb) points with
-//     serving attached and clients querying throughout. The semantic
-//     signal stream (FNV digest + count) and the semantic telemetry
-//     snapshot must be byte-identical across every grid point AND equal
-//     to the load arms' — serving only reads, so attaching it must not
-//     move one byte of output. Any mismatch exits nonzero.
+//     (engine_shards × engine_threads) points with serving attached and
+//     clients querying throughout. The semantic signal stream (FNV digest
+//     + count) and the semantic telemetry snapshot must be byte-identical
+//     across every grid point AND equal to the load arms' — serving only
+//     reads, so attaching it must not move one byte of output. Any
+//     mismatch exits nonzero.
 //
 // Arms run sequentially on purpose: this harness measures time, so arms
 // must not compete for cores.
@@ -25,7 +25,7 @@
 // Writes BENCH_serving_latency.json (schema rrr-serving-v1).
 //
 // Flags: --days N --pairs N --seed N --public-rate N
-//        --clients-list 0,2,8 --grid 1x1x0,2x2x1,4x2x1 --think-us N
+//        --clients-list 0,2,8 --grid 1x1,2x2,4x2 --think-us N
 //        --out BENCH_serving_latency.json
 #include <algorithm>
 #include <atomic>
@@ -41,8 +41,7 @@ namespace {
 
 using namespace rrr;
 
-// FNV-1a over the semantic signal stream; the same mix fig_pipeline_sweep
-// uses, so digests are comparable across harnesses.
+// FNV-1a over the semantic signal stream.
 struct SignalDigest {
   std::uint64_t digest = 1469598103934665603ull;
   std::int64_t count = 0;
@@ -109,7 +108,6 @@ struct ArmResult {
   int clients = 0;
   int shards = 1;
   int threads = 1;
-  bool pipeline = true;
   double run_seconds = 0.0;      // timed segment: corpus_t0 -> end
   std::int64_t windows = 0;      // windows closed in the timed segment
   std::int64_t queries = 0;
@@ -129,19 +127,17 @@ double windows_per_s(const ArmResult& r) {
 }
 
 ArmResult run_arm(eval::WorldParams params, const std::string& label,
-                  int clients, int shards, int threads, bool pipeline,
+                  int clients, int shards, int threads,
                   std::int64_t think_us) {
   params.telemetry = true;  // semantic snapshot is half the determinism check
   params.engine_shards = shards;
   params.engine_threads = threads;
-  params.pipeline_absorb = pipeline;
 
   ArmResult result;
   result.label = label;
   result.clients = clients;
   result.shards = shards;
   result.threads = threads;
-  result.pipeline = pipeline;
 
   eval::World world(params);
   eval::World::Hooks hooks;
@@ -260,8 +256,7 @@ int main(int argc, char** argv) {
     const std::string label =
         clients == 0 ? "baseline" : "clients=" + item;
     arms.push_back(run_arm(params, label, clients, params.engine_shards,
-                           params.engine_threads, params.pipeline_absorb,
-                           think_us));
+                           params.engine_threads, think_us));
     const ArmResult& r = arms.back();
     std::cout << "  [" << r.label << "] "
               << eval::TableWriter::fmt(r.run_seconds, 2) << " s, "
@@ -273,20 +268,19 @@ int main(int argc, char** argv) {
     std::cout << "\n";
   }
 
-  // Phase 2: determinism grid (shards x threads x pipeline) with serving
-  // attached and a small client fleet querying throughout.
+  // Phase 2: determinism grid (shards x threads) with serving attached and
+  // a small client fleet querying throughout.
   std::vector<ArmResult> grid;
   for (const std::string& item :
-       parse_list(flags.get_str("grid", "1x1x0,2x2x1,4x2x1"))) {
-    int shards = 1, threads = 1, pipeline = 1;
-    if (std::sscanf(item.c_str(), "%dx%dx%d", &shards, &threads,
-                    &pipeline) != 3) {
+       parse_list(flags.get_str("grid", "1x1,2x2,4x2"))) {
+    int shards = 1, threads = 1;
+    if (std::sscanf(item.c_str(), "%dx%d", &shards, &threads) != 2) {
       std::cerr << "grid: cannot parse \"" << item << "\" — ignored\n";
       continue;
     }
     const std::string label = "grid " + item;
     grid.push_back(
-        run_arm(params, label, 2, shards, threads, pipeline != 0, think_us));
+        run_arm(params, label, 2, shards, threads, think_us));
     std::cout << "  [" << label << "] "
               << eval::TableWriter::fmt(grid.back().run_seconds, 2)
               << " s\n";
@@ -372,7 +366,6 @@ int main(int argc, char** argv) {
       out << "{\"label\":\"" << obs::json_escape(r->label)
           << "\",\"clients\":" << r->clients << ",\"shards\":" << r->shards
           << ",\"threads\":" << r->threads
-          << ",\"pipeline\":" << (r->pipeline ? "true" : "false")
           << ",\"windows\":" << r->windows
           << ",\"windows_per_s\":" << windows_per_s(*r)
           << ",\"queries\":" << r->queries << ",\"qps\":" << r->qps

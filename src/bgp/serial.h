@@ -12,9 +12,7 @@ namespace rrr::bgp {
 
 // Interned attributes are resolved to content on write and re-interned on
 // read, so the byte format is identical to the pre-interning one and never
-// leaks intern-id values (which are free to differ across runs). The
-// `canonical_path` stamp is deliberately not stored: a loaded backlog
-// re-canonicalizes through the table view's own memo.
+// leaks intern-id values (which are free to differ across runs).
 // Smallest encoded record: the fixed-width fields plus the three length
 // prefixes (collector, path, communities) of an empty record.
 inline constexpr std::size_t kMinRecordBytes = 8 + 1 + 4 + 4 + 4 + 8 + 5 + 8 + 8;

@@ -195,7 +195,6 @@ World::World(const WorldParams& params)
   engine_params.seed = rng_.fork(8).seed();
   engine_params.threads = params_.engine_threads;
   engine_params.shards = params_.engine_shards;
-  engine_params.pipeline_absorb = params_.pipeline_absorb;
   engine_params.metrics = metrics_.get();
   engine_params.tracer = tracer_.get();
   engine_params.feed_health = params_.feed_health;
@@ -276,6 +275,7 @@ void World::feed_bgp(const bgp::BgpRecord& record) {
 std::size_t World::initialize_corpus() {
   if (corpus_initialized_) return ground_truth_->pairs().size();
   assert(now_ == corpus_t0());
+  obs::TraceSpan span(tracer_.get(), "corpus_init", "driver");
   corpus_initialized_ = true;
   log_op("init", {});
   std::vector<std::pair<tr::ProbeId, Ipv4>> pairs;
@@ -373,22 +373,27 @@ void World::run_until(TimePoint t, const Hooks& hooks) {
     std::int64_t next_slot_offset = 0;
     int slots_done = 0;
 
-    // Merge events and measurement slots in time order.
-    while (true) {
-      TimePoint next_event_time =
-          event_cursor_ < schedule_.size() ? schedule_[event_cursor_].time
-                                           : TimePoint(INT64_MAX);
-      TimePoint next_slot_time = slots_done < per_window
-                                     ? now_ + next_slot_offset
-                                     : TimePoint(INT64_MAX);
-      TimePoint next = std::min(next_event_time, next_slot_time);
-      if (next >= window_end) break;
-      if (next_event_time <= next_slot_time) {
-        process_event(schedule_[event_cursor_++]);
-      } else {
-        issue_public_trace(next_slot_time);
-        ++slots_done;
-        next_slot_offset += slot_spacing;
+    // Merge events and measurement slots in time order. Untraced while the
+    // engine is suppressed: resume fast-forward never drains the recorder.
+    {
+      obs::TraceSpan feed_span(suppress_engine_ ? nullptr : tracer_.get(),
+                               "feed", "driver", window);
+      while (true) {
+        TimePoint next_event_time =
+            event_cursor_ < schedule_.size() ? schedule_[event_cursor_].time
+                                             : TimePoint(INT64_MAX);
+        TimePoint next_slot_time = slots_done < per_window
+                                       ? now_ + next_slot_offset
+                                       : TimePoint(INT64_MAX);
+        TimePoint next = std::min(next_event_time, next_slot_time);
+        if (next >= window_end) break;
+        if (next_event_time <= next_slot_time) {
+          process_event(schedule_[event_cursor_++]);
+        } else {
+          issue_public_trace(next_slot_time);
+          ++slots_done;
+          next_slot_offset += slot_spacing;
+        }
       }
     }
 
@@ -471,10 +476,10 @@ void World::run_all(const Hooks& hooks) {
 std::uint64_t World::fingerprint(const WorldParams& params) {
   // A coarse digest of the parameters that shape the simulated timeline.
   // It catches the common foot-guns (different seed, days, corpus or feed
-  // shape, fault plan) — it is a guard, not a proof of identity. Pure
-  // throughput knobs (threads, pipeline_absorb) and robustness knobs
-  // (io_fault_plan, io_retry, supervise) are deliberately excluded; the
-  // engine's loader verifies the shard count itself.
+  // shape, fault plan) — it is a guard, not a proof of identity. The
+  // throughput knob (threads) and the robustness knobs (io_fault_plan,
+  // io_retry, supervise) are deliberately excluded; the engine's loader
+  // verifies the shard count itself.
   store::Encoder enc;
   enc.u64(params.seed);
   enc.i64(params.days);

@@ -69,10 +69,10 @@ struct WorldParams {
   // engine"). Like engine_threads, a pure throughput knob: the signal
   // stream is bit-identical for any (shards, threads) combination.
   int engine_shards = 1;
-  // Overlap the BGP-table absorb with the monitor closes via the epoch
-  // table's shadow buffer (DESIGN.md §10 "Epoch pipeline"). Another pure
-  // throughput knob: off recovers the exact serial schedule, and the signal
-  // stream plus semantic telemetry are bit-identical either way.
+  // Inert: nothing reads this field. The engine has one absorb schedule
+  // (DESIGN.md §10 "Table absorb"); the field stays declared only because
+  // e2ebench/workloads.cpp still assigns it, and goes when that benchmark
+  // drops the assignment.
   bool pipeline_absorb = true;
   // Enables the telemetry registry + per-window stats series (DESIGN.md
   // "Observability"). The RRR_STATS environment variable force-enables it
@@ -298,9 +298,9 @@ class World {
     kBoundary = 2,  // between run_until calls
   };
   // Digest of the parameters that shape the simulated timeline (seed,
-  // corpus/feed shape, fault plan, ...). Pure throughput knobs — threads,
-  // pipeline_absorb — are excluded; shard count is verified separately by
-  // the engine's own loader.
+  // corpus/feed shape, fault plan, ...). The pure throughput knob — threads
+  // — is excluded; shard count is verified separately by the engine's own
+  // loader.
   std::uint64_t params_fingerprint() const;
   // Appends one op to the WAL at the current (clock, replay point). No-op
   // unless checkpointing is on, and always a no-op during replay.

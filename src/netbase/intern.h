@@ -57,8 +57,8 @@ using CollectorId = std::uint32_t;
 
 // Id 0 of every domain is the empty value.
 inline constexpr std::uint32_t kEmptyInternId = 0;
-// Sentinel for "no id assigned" (e.g. BgpRecord::canonical_path before the
-// serial feed boundary stamps it). Never a valid id.
+// Sentinel for "no id assigned" (an empty hash-table slot). Never a valid
+// id.
 inline constexpr std::uint32_t kInvalidInternId = 0xFFFFFFFFu;
 
 namespace detail {

@@ -2,12 +2,12 @@
 //
 // The close path builds large flat scratch structures — the dispatched
 // record batch, per-shard signal buffers — whose lifetime is exactly one
-// window close: the epoch pipeline already bounds it (everything is dead by
-// the flip). An MPS-style arena exploits that: allocation is a pointer bump
+// window close (everything is dead once the close's parallel phases are
+// joined). An MPS-style arena exploits that: allocation is a pointer bump
 // into chunked slabs, individual frees don't exist, and `reset()` at the
-// flip recycles every slab wholesale for the next window, so the steady
-// state performs zero heap traffic no matter how many records a window
-// carries.
+// end of the close recycles every slab wholesale for the next window, so
+// the steady state performs zero heap traffic no matter how many records a
+// window carries.
 //
 // Ownership rules (DESIGN.md §12): one Arena has one owner (an engine); all
 // allocation happens on the owner's serial close path; nothing allocated

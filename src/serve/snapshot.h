@@ -9,13 +9,12 @@
 //   * a bounded per-pair signal history (the evidence trail), and
 //   * a refresh-priority queue ranking the stale pairs stalest-first.
 //
-// Publication follows the same release-pointer-swap discipline as
-// bgp::EpochTableView: the driver thread builds a fresh snapshot in the
-// serial section after a window close and publishes it with one release
-// store; HTTP readers take one acquire-load and then work entirely on the
-// immutable object. Unlike the epoch table, readers are asynchronous (they
-// can hold a snapshot across any number of publications), so the pointer is
-// a std::shared_ptr under std::atomic — reclamation happens when the last
+// Publication is a release pointer swap: the driver thread builds a fresh
+// snapshot in the serial section after a window close and publishes it with
+// one release store; HTTP readers take one acquire-load and then work
+// entirely on the immutable object. Readers are asynchronous (they can hold
+// a snapshot across any number of publications), so the pointer is a
+// std::shared_ptr under std::atomic — reclamation happens when the last
 // reader drops its reference, and the window close never waits on a reader.
 #pragma once
 
@@ -62,7 +61,7 @@ struct ServingSnapshot {
   std::uint64_t version = 0;
   std::int64_t window = -1;        // last closed window; -1 before any
   std::int64_t time_seconds = 0;   // end of that window
-  std::uint64_t table_epoch = 0;   // bgp::EpochTableView::epoch() at publish
+  std::uint64_t table_epoch = 0;   // windows absorbed into the BGP table
   std::size_t history_cap = 0;
   std::size_t fresh = 0;
   std::size_t stale = 0;

@@ -119,8 +119,8 @@ class AsPathMonitor final : public BgpMonitor {
   // Per-close route table: standing_[e->standing_at + k] is the published
   // route of (e->v0[k], e->pair.dst) for each entry e being evaluated. It is
   // resolved serially before the parallel phases, one table lookup per
-  // distinct (vp, dst) via standing_index_. The published epoch cannot
-  // change during a close (bgp_context.h), so this is exactly what per-entry
+  // distinct (vp, dst) via standing_index_. The table cannot change during
+  // a monitor close (bgp_context.h), so this is exactly what per-entry
   // lookups would return. Cleared when the close ends; never checkpointed.
   std::vector<const bgp::VpRoute*> standing_;
   std::unordered_map<std::uint64_t, const bgp::VpRoute*> standing_index_;

@@ -2,27 +2,24 @@
 // and vantage-point metadata for signal attributes.
 //
 // Reader role: everything reached through this struct is *read-only* during
-// the parallel phases of a window close. `table` points at the engine's
-// EpochTableView, whose published epoch holds the start-of-window state for
-// the whole close — monitors may look routes up from any pool thread while
-// the absorb writer fills the shadow buffer (see bgp/epoch_table.h for the
-// full protocol). The epoch only flips in the serial section after every
-// monitor close has been joined, so a monitor never sees the table change
-// under it mid-close.
+// the parallel phases of a window close. `table` points at the engine's one
+// VpTableView, which holds the start-of-window state while the BGP monitors
+// close — they may look routes up from any pool thread. The engine absorbs
+// the window's records in the serial section after every monitor close has
+// been joined, so a monitor never sees the table change under it mid-close.
 #pragma once
 
 #include <vector>
 
-#include "bgp/epoch_table.h"
+#include "bgp/table_view.h"
 #include "bgp/record.h"
 #include "topology/types.h"
 
 namespace rrr::signals {
 
 struct BgpContext {
-  // The engine-owned epoch table. Monitors call `table->route(...)` etc.,
-  // which forward to the published (immutable) epoch.
-  const bgp::EpochTableView* table = nullptr;
+  // The engine-owned table; monitors call `table->route(...)` etc.
+  const bgp::VpTableView* table = nullptr;
   const std::vector<bgp::VantagePoint>* vps = nullptr;
   // Per-VpId location, for the Table 1 bootstrap attributes.
   std::vector<topo::AsIndex> vp_as;

@@ -61,7 +61,8 @@ EngineShard::EngineShard(tracemap::ProcessingContext& processing,
       subpath_(shared.subpath),
       border_(shared.border),
       ixp_(shared.ixp),
-      health_(shared.health) {
+      health_(shared.health),
+      tracer_(shared.tracer) {
   assert(shared.context != nullptr && shared.index != nullptr &&
          shared.calibration != nullptr && shared.reputation != nullptr &&
          shared.subpath != nullptr && shared.border != nullptr &&
@@ -177,8 +178,15 @@ void EngineShard::collect_bgp_close(std::vector<StalenessSignal>& into,
     into.insert(into.end(), std::make_move_iterator(batch.begin()),
                 std::make_move_iterator(batch.end()));
   };
-  append(aspath_->close_window(window, window_end));
-  append(community_->close_window(window, window_end));
+  {
+    obs::TraceSpan span(tracer_, "close_aspath", "close", window);
+    append(aspath_->close_window(window, window_end));
+  }
+  {
+    obs::TraceSpan span(tracer_, "close_community", "close", window);
+    append(community_->close_window(window, window_end));
+  }
+  obs::TraceSpan span(tracer_, "close_burst", "close", window);
   append(burst_->close_window(window, window_end));
 }
 

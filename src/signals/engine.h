@@ -61,14 +61,6 @@ struct EngineParams {
   // knob: the signal stream is identical for any (shards, threads)
   // combination.
   int shards = 1;
-  // Overlap the table-absorb step with the monitor closes: the just-closed
-  // window's records are applied to the epoch table's shadow buffer by a
-  // pool task while the monitors still read the published start-of-window
-  // epoch, and the flip happens after both are joined. Off recovers the
-  // exact serial schedule (absorb inline between the BGP and trace monitor
-  // closes). The signal stream and semantic telemetry are bit-identical
-  // either way — see DESIGN.md §10 "Epoch pipeline".
-  bool pipeline_absorb = true;
   // Telemetry sink; null (the default) disables all instrumentation — every
   // update site degrades to one branch on a null pointer. Must outlive the
   // engine.
@@ -121,6 +113,8 @@ struct EngineSharedState {
   // Facade-owned feed-health tracker, read-only during shard closes; null
   // when health tracking is off.
   const FeedHealthTracker* health = nullptr;
+  // Flight recorder for the per-monitor close spans; null = no tracing.
+  obs::TraceRecorder* tracer = nullptr;
 };
 
 // Builds the monitor-facing view of the first `count` records (normalized
@@ -146,8 +140,8 @@ std::size_t cut_window_prefix(std::vector<bgp::BgpRecord>& pending,
 
 class EngineShard {
  public:
-  // Every pointer in `shared` except `pool`, `obs` and `health` must be
-  // non-null and outlive the shard.
+  // Every pointer in `shared` except `pool`, `obs`, `health` and `tracer`
+  // must be non-null and outlive the shard.
   EngineShard(tracemap::ProcessingContext& processing, WindowClock clock,
               const EngineSharedState& shared);
 
@@ -232,6 +226,7 @@ class EngineShard {
   IxpMonitor* ixp_;
   // Read-only during shard closes; null when health tracking is off.
   const FeedHealthTracker* health_;
+  obs::TraceRecorder* tracer_;  // null = no tracing
 
   // BGP monitors hold per-pair entries only, so every shard owns its own.
   std::unique_ptr<AsPathMonitor> aspath_;

@@ -54,13 +54,6 @@ struct EngineObs {
   obs::Histogram* absorb_us = nullptr;
   obs::Histogram* merge_us = nullptr;
   obs::Histogram* register_us = nullptr;
-  // Epoch pipeline (runtime domain — the pipelined and serial schedules
-  // must keep the *semantic* snapshot byte-identical, so everything that
-  // differs between them lives here). absorb_wait_us is the residual stall
-  // joining the absorb writer after the monitor closes: near zero when the
-  // overlap hides the absorb entirely, ~absorb_us when it doesn't.
-  obs::Counter* epoch_flips = nullptr;
-  obs::Histogram* absorb_wait_us = nullptr;
 
   // Per-monitor bundles, indexed by technique_index().
   std::array<MonitorObs, kTechniqueCount> monitors{};

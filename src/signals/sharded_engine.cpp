@@ -54,7 +54,6 @@ ShardedStalenessEngine::ShardedStalenessEngine(
       processing_(processing),
       rng_(Rng(params.seed).fork(0xE9619E)),
       vps_(std::move(vps)),
-      feed_canon_(ixp_route_server_asns),
       table_(std::move(ixp_route_server_asns)),
       calibration_(params.calibration_windows),
       rels_(std::move(rels)),
@@ -68,9 +67,8 @@ ShardedStalenessEngine::ShardedStalenessEngine(
   if (params_.threads > 1) {
     pool_ = std::make_unique<runtime::ThreadPool>(params_.threads);
   }
-  if (params_.tracer != nullptr) {
-    if (pool_ != nullptr) pool_->set_tracer(params_.tracer);
-    table_.set_tracer(params_.tracer);
+  if (params_.tracer != nullptr && pool_ != nullptr) {
+    pool_->set_tracer(params_.tracer);
   }
   subpath_.set_pool(pool_.get());
   border_.set_pool(pool_.get());
@@ -120,6 +118,7 @@ ShardedStalenessEngine::ShardedStalenessEngine(
   shared.ixp = &ixp_;
   shared.obs = &obs_;
   shared.health = health_.get();
+  shared.tracer = params_.tracer;
   shards_.reserve(static_cast<std::size_t>(params_.shards));
   for (int i = 0; i < params_.shards; ++i) {
     shards_.push_back(
@@ -152,10 +151,7 @@ void ShardedStalenessEngine::on_bgp_record(const bgp::BgpRecord& record) {
     health_->count_bgp(record.vp, record.collector.id(),
                        clock_.index_of(record.time));
   }
-  bgp::BgpRecord& stored = pending_records_.emplace_back(record);
-  // Stamp the table-canonical path here — the one serial point every record
-  // passes — so the pipelined absorb never interns on a pool thread.
-  stored.canonical_path = feed_canon_.canonical(stored.as_path.id());
+  pending_records_.push_back(record);
 }
 
 void ShardedStalenessEngine::on_public_trace(const tr::Traceroute& trace) {
@@ -179,37 +175,20 @@ void ShardedStalenessEngine::close_one_window(
   // close TSAN-clean and the gating independent of the partition.
   if (health_ != nullptr) health_->close_window(window);
   std::size_t cut = cut_window_prefix(pending_records_, clock_, window);
-  // Normalize the window's records once against the published start-of-
-  // window epoch; every shard dispatches the same read-only views. The
-  // batch is arena-backed: dead by the end of this close, reclaimed by the
-  // reset below.
+  // Normalize the window's records once against the start-of-window table;
+  // every shard dispatches the same read-only views. The batch is arena-
+  // backed: dead by the end of this close, reclaimed by the reset below.
   DispatchedBatch dispatched = [&] {
     obs::ScopedSpan dispatch_span(obs_.dispatch_us);
     obs::TraceSpan trace_span(params_.tracer, "dispatch", "close", window,
                               "records", static_cast<std::int64_t>(cut));
-    return dispatch_against_table(pending_records_, cut, table_.read(),
+    return dispatch_against_table(pending_records_, cut, table_,
                                   collapse_canon_, close_arena_);
   }();
 
-  // The absorb writer fills the epoch table's shadow while every reader
-  // (shards in phase A, revocation sweeps) keeps seeing the published
-  // epoch. Pipelined, it overlaps phases A and B on the pool; serial, it
-  // runs inline between them — the exact pre-epoch schedule. The flip is
-  // deferred until writer and readers are joined, so both schedules yield
-  // the same signal stream.
-  runtime::TaskGroup absorb_group(pool_.get());
-  auto absorb_batch = [this, cut, window] {
-    obs::ScopedSpan absorb_span(obs_.absorb_us);
-    obs::TraceSpan trace_span(params_.tracer, "absorb", "close", window,
-                              "records", static_cast<std::int64_t>(cut));
-    table_.absorb(pending_records_, cut);
-  };
-  if (params_.pipeline_absorb) absorb_group.spawn(absorb_batch);
-
   // Phase A — shards in parallel: dispatch the window's records to the
   // shard's BGP monitors and close them into raw per-shard buffers. The
-  // published epoch is immutable here, and each shard touches only its
-  // own entries.
+  // table is read-only here, and each shard touches only its own entries.
   std::vector<std::vector<StalenessSignal>> raw(shards_.size());
   runtime::parallel_for(
       pool_.get(), shards_.size(),
@@ -224,10 +203,14 @@ void ShardedStalenessEngine::close_one_window(
       },
       /*grain=*/1);
 
-  if (!params_.pipeline_absorb) {
-    absorb_batch();
-    table_.flip();
-    obs::inc(obs_.epoch_flips);
+  // Absorb the window's records now that every phase-A reader is joined;
+  // the revocation sweep below sees the post-absorb table.
+  {
+    obs::ScopedSpan absorb_span(obs_.absorb_us);
+    obs::TraceSpan trace_span(params_.tracer, "absorb", "close", window,
+                              "records", static_cast<std::int64_t>(cut));
+    table_.apply_all(pending_records_, cut);
+    ++table_epoch_;
   }
 
   // Phase B — the three global trace monitors close concurrently (each
@@ -252,16 +235,6 @@ void ShardedStalenessEngine::close_one_window(
     group.wait();
   }
 
-  if (params_.pipeline_absorb) {
-    {
-      obs::ScopedSpan wait_span(obs_.absorb_wait_us);
-      obs::TraceSpan trace_span(params_.tracer, "absorb_wait", "close",
-                                window);
-      absorb_group.wait();
-    }
-    table_.flip();
-    obs::inc(obs_.epoch_flips);
-  }
   obs::inc(obs_.bgp_records_absorbed, static_cast<std::int64_t>(cut));
   pending_records_.erase(pending_records_.begin(),
                          pending_records_.begin() +
@@ -389,6 +362,7 @@ const tracemap::ProcessedTrace* ShardedStalenessEngine::processed_of(
 
 void ShardedStalenessEngine::save_state(store::Encoder& enc) const {
   enc.str(rng_.save_state());
+  enc.u64(table_epoch_);
   table_.save_state(enc);
   enc.u64(pending_records_.size());
   for (const bgp::BgpRecord& record : pending_records_) {
@@ -414,6 +388,7 @@ void ShardedStalenessEngine::save_state(store::Encoder& enc) const {
 
 void ShardedStalenessEngine::load_state(store::Decoder& dec) {
   rng_.load_state(std::string(dec.str()));
+  table_epoch_ = dec.u64();
   table_.load_state(dec);
   pending_records_.clear();
   std::uint64_t record_count = dec.count(bgp::kMinRecordBytes);

@@ -17,15 +17,11 @@
 // DESIGN.md states for threads (see "Sharded engine").
 //
 // Exactly one copy of the BGP table state exists regardless of shard count:
-// the facade owns a bgp::EpochTableView whose *published* epoch is the
-// immutable start-of-window snapshot every shard and monitor reads (through
-// the shared BgpContext). The window's records are absorbed once — into the
-// *shadow* buffer, by a pool task that overlaps phases A and B when
-// EngineParams::pipeline_absorb is on — and the epoch flips with one atomic
-// pointer swap in the serial section before the canonical merge. Readers
-// therefore never lock and never observe a half-applied batch; see
-// bgp/epoch_table.h for the buffer protocol and DESIGN.md §10 for the
-// schedule.
+// the facade owns one bgp::VpTableView that every shard and monitor reads
+// (through the shared BgpContext). During phase A it holds the start-of-
+// window state; the window's records are absorbed inline on the driver
+// thread once phase A is joined, so readers never lock and never observe a
+// half-applied batch. See DESIGN.md §10 for the schedule.
 //
 // Cross-pair state shared *between* pairs — the potential-id space,
 // calibration and community-reputation tallies, the global signal
@@ -43,7 +39,7 @@
 #include <set>
 #include <vector>
 
-#include "bgp/epoch_table.h"
+#include "bgp/table_view.h"
 #include "runtime/task_group.h"
 #include "runtime/thread_pool.h"
 #include "signals/asreldb.h"
@@ -96,9 +92,10 @@ class ShardedStalenessEngine {
   // read (no RNG draw, no mutation) — the serving layer materializes its
   // snapshots from this at every window boundary.
   std::vector<PairStateView> pair_states() const;
-  // Publication counter of the epoch-flipped BGP table: increments once per
-  // absorbed window, captured into ServingSnapshot::table_epoch.
-  std::uint64_t table_epoch() const { return table_.epoch(); }
+  // Windows absorbed into the BGP table so far, captured into
+  // ServingSnapshot::table_epoch.
+  std::uint64_t table_epoch() const { return table_epoch_; }
+  const bgp::VpTableView& table() const { return table_; }
   const Calibration& calibration() const { return calibration_; }
   const CommunityReputation& community_reputation() const {
     return reputation_;
@@ -141,17 +138,13 @@ class ShardedStalenessEngine {
 
   // The single copies of all cross-pair state (see file comment).
   std::vector<bgp::VantagePoint> vps_;
-  // Table-canonical path memo used at the serial feed boundary to stamp
-  // BgpRecord::canonical_path (the absorb task then never interns on a
-  // pool thread). Declared before `table_`, which consumes the IXP set.
-  bgp::PathCanonicalizer feed_canon_;
-  // Epoch-flipped table: shards/monitors read the published buffer during
-  // the parallel phases while the absorb writer fills the shadow.
-  bgp::EpochTableView table_;
+  // Read-only during the parallel phases; absorbed serially per window.
+  bgp::VpTableView table_;
+  std::uint64_t table_epoch_ = 0;  // windows absorbed into table_
   BgpContext context_;
   std::vector<bgp::BgpRecord> pending_records_;
-  // Dispatch-path prepend-collapse memo and the epoch arena backing the
-  // per-close dispatch batch; serial close path only, arena reset per close.
+  // Dispatch-path prepend-collapse memo and the arena backing the per-close
+  // dispatch batch; serial close path only, arena reset per close.
   bgp::PathCanonicalizer collapse_canon_;
   runtime::Arena close_arena_;
   PotentialIndex index_;

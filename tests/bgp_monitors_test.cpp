@@ -86,9 +86,8 @@ class BgpMonitorFixture : public ::testing::Test {
     return dispatched;
   }
 
-  // The monitors read through BgpContext's epoch table; apply() keeps both
-  // buffers in sync so installs are immediately visible without a flip.
-  bgp::EpochTableView table_;
+  // The monitors read through BgpContext's table.
+  bgp::VpTableView table_;
   std::vector<bgp::VantagePoint> vps_;
   BgpContext context_;
   CorpusView view_;

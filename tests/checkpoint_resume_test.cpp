@@ -3,8 +3,8 @@
 // indistinguishable — signal stream, stale pairs, calibration digest,
 // semantic telemetry, and the io/serialize rendering of the final corpus —
 // from the run that never stopped. The grid here pins that for every
-// window k of a small world, across (shards x threads x pipeline x fault
-// plan), through the WAL tail after a mid-cadence crash, and across
+// window k of a small world, across (shards x threads x fault plan),
+// through the WAL tail after a mid-cadence crash, and across
 // resume-of-a-resumed-run. The rejection tables pin the other half of the
 // contract: a corrupted, truncated, or version-skewed snapshot is a
 // classified StoreError, never UB and never a silently wrong world.
@@ -21,7 +21,6 @@
 #include <tuple>
 #include <vector>
 
-#include "bgp/epoch_table.h"
 #include "bgp/table_view.h"
 #include "eval/world.h"
 #include "io/serialize.h"
@@ -84,7 +83,7 @@ void write_bytes(const std::string& path, const std::string& bytes) {
 // within test-suite budget, busy enough that the engine emits signals and
 // the refresh cycle grades them.
 WorldParams tiny_params(std::uint64_t seed, int threads = 1, int shards = 1,
-                        bool pipeline = false, bool faulted = false) {
+                        bool faulted = false) {
   WorldParams params;
   params.days = 1;
   params.warmup_days = 0;
@@ -111,7 +110,6 @@ WorldParams tiny_params(std::uint64_t seed, int threads = 1, int shards = 1,
   params.seed = seed;
   params.engine_threads = threads;
   params.engine_shards = shards;
-  params.pipeline_absorb = pipeline;
   // Telemetry on: the semantic-counter snapshot is part of the resume
   // contract (restored wholesale from the snapshot, then advanced live).
   params.telemetry = true;
@@ -145,6 +143,13 @@ using SignalKey = std::tuple<std::int64_t, tr::ProbeId, std::uint32_t, int,
 
 struct RunTrace {
   std::int64_t resumed_at = 0;  // completed windows right after construction
+  // engine().table_epoch() and a digest of the BGP table's bytes right after
+  // construction (resumed runs only).
+  std::uint64_t resumed_table_epoch = 0;
+  std::uint64_t resumed_table_digest = 0;
+  // Table digest after each closed window, indexed by window (only with
+  // DriveSpec::table_digests).
+  std::vector<std::uint64_t> table_digests;
   std::vector<SignalKey> signals;
   std::vector<tr::PairKey> stale;
   std::uint64_t calibration_digest = 0;
@@ -174,7 +179,15 @@ struct DriveSpec {
   // inside on_signals every 7th window, one refresh inside on_day, and one
   // between-run_until refresh at mid-run (all three ReplayPoints).
   bool ops = false;
+  // Record RunTrace::table_digests.
+  bool table_digests = false;
 };
+
+std::uint64_t table_digest(World& world) {
+  store::Encoder enc;
+  world.engine().table().save_state(enc);
+  return store::fnv1a64(enc.buffer());
+}
 
 RunTrace drive(WorldParams params, const DriveSpec& spec) {
   params.checkpoint_dir = spec.checkpoint_dir;
@@ -184,10 +197,18 @@ RunTrace drive(WorldParams params, const DriveSpec& spec) {
   World world(params);
 
   RunTrace trace;
-  trace.resumed_at = spec.resume_from.empty() ? 0 : world.completed_windows();
+  if (!spec.resume_from.empty()) {
+    trace.resumed_at = world.completed_windows();
+    trace.resumed_table_epoch = world.engine().table_epoch();
+    trace.resumed_table_digest = table_digest(world);
+  }
   World::Hooks hooks;
   hooks.on_signals = [&](std::int64_t window, TimePoint window_end,
                          std::vector<signals::StalenessSignal>&& sigs) {
+    // The table epoch is a plain counter of windows absorbed so far.
+    EXPECT_EQ(world.engine().table_epoch(),
+              static_cast<std::uint64_t>(window + 1));
+    if (spec.table_digests) trace.table_digests.push_back(table_digest(world));
     for (const signals::StalenessSignal& s : sigs) {
       trace.signals.emplace_back(window, s.pair.probe, s.pair.dst.value(),
                                  static_cast<int>(s.technique), s.potential,
@@ -296,9 +317,14 @@ void sweep_every_window(std::uint64_t seed, std::int64_t lo, std::int64_t hi) {
   TempDir dir("sweep");
   DriveSpec cold_spec;
   cold_spec.checkpoint_dir = dir.str();
+  cold_spec.table_digests = true;
   RunTrace cold = drive(params, cold_spec);
   ASSERT_GT(cold.signals.size(), 0u)
       << "world too quiet to exercise the engine";
+  ASSERT_EQ(cold.table_digests.size(),
+            static_cast<std::size_t>(total_windows(params)));
+  ASSERT_NE(cold.table_digests.front(), cold.table_digests.back())
+      << "table never changed; the table comparison would be vacuous";
   for (std::int64_t k = lo; k <= hi; ++k) {
     DriveSpec spec;
     spec.resume_from = dir.str();
@@ -306,6 +332,12 @@ void sweep_every_window(std::uint64_t seed, std::int64_t lo, std::int64_t hi) {
     RunTrace warm = drive(params, spec);
     const std::string label = "k=" + std::to_string(k);
     EXPECT_EQ(warm.resumed_at, k) << label;
+    // The resumed world restores the cold run's table and epoch at k.
+    EXPECT_EQ(warm.resumed_table_epoch, static_cast<std::uint64_t>(k))
+        << label;
+    EXPECT_EQ(warm.resumed_table_digest,
+              cold.table_digests[static_cast<std::size_t>(k - 1)])
+        << label;
     EXPECT_EQ(window_suffix(cold.signals, k), warm.signals) << label;
     expect_same_final_state(cold, warm, label);
   }
@@ -322,40 +354,37 @@ TEST(CheckpointResume, ResumeAtEveryWindowLastThird) {
   sweep_every_window(31, 65, total_windows(params));
 }
 
-// --- the (shards x threads x pipeline x fault plan) grid ---
+// --- the (shards x threads x fault plan) grid ---
 // Every grid point writes its own checkpoint and resumes at mid-run; the
 // resumed run must match both its own cold run and the serial single-shard
 // baseline (tying the resume contract to the engine determinism contract).
 void grid_resume(bool faulted) {
   const std::uint64_t seed = faulted ? 47 : 46;
-  WorldParams serial = tiny_params(seed, 1, 1, false, faulted);
+  WorldParams serial = tiny_params(seed, 1, 1, faulted);
   RunTrace baseline = drive(serial, DriveSpec{});
   ASSERT_GT(baseline.signals.size(), 0u)
       << "world too quiet to exercise the engine";
   const std::int64_t k = total_windows(serial) / 2;
   for (int shards : {1, 2}) {
     for (int threads : {1, 4}) {
-      for (bool pipeline : {false, true}) {
-        WorldParams params =
-            tiny_params(seed, threads, shards, pipeline, faulted);
-        TempDir dir("grid");
-        DriveSpec cold_spec;
-        cold_spec.checkpoint_dir = dir.str();
-        cold_spec.checkpoint_every = 4;  // k is a multiple: exact snapshot
-        RunTrace cold = drive(params, cold_spec);
-        DriveSpec warm_spec;
-        warm_spec.resume_from = dir.str();
-        warm_spec.resume_window = k;
-        RunTrace warm = drive(params, warm_spec);
-        std::ostringstream os;
-        os << "shards=" << shards << " threads=" << threads
-           << " pipeline=" << pipeline << " faulted=" << faulted;
-        const std::string point = os.str();
-        EXPECT_EQ(baseline.signals, cold.signals) << point;
-        EXPECT_EQ(warm.resumed_at, k) << point;
-        EXPECT_EQ(window_suffix(baseline.signals, k), warm.signals) << point;
-        expect_same_final_state(baseline, warm, point);
-      }
+      WorldParams params = tiny_params(seed, threads, shards, faulted);
+      TempDir dir("grid");
+      DriveSpec cold_spec;
+      cold_spec.checkpoint_dir = dir.str();
+      cold_spec.checkpoint_every = 4;  // k is a multiple: exact snapshot
+      RunTrace cold = drive(params, cold_spec);
+      DriveSpec warm_spec;
+      warm_spec.resume_from = dir.str();
+      warm_spec.resume_window = k;
+      RunTrace warm = drive(params, warm_spec);
+      std::ostringstream os;
+      os << "shards=" << shards << " threads=" << threads
+         << " faulted=" << faulted;
+      const std::string point = os.str();
+      EXPECT_EQ(baseline.signals, cold.signals) << point;
+      EXPECT_EQ(warm.resumed_at, k) << point;
+      EXPECT_EQ(window_suffix(baseline.signals, k), warm.signals) << point;
+      expect_same_final_state(baseline, warm, point);
     }
   }
 }
@@ -365,26 +394,24 @@ TEST(CheckpointResume, FaultedGridResumeMatchesColdRun) {
   grid_resume(true);
 }
 
-// Threads and pipelining are pure throughput knobs, so a snapshot written
-// under one combination must resume under another (the fingerprint
-// deliberately excludes them) and still reproduce the run byte for byte.
+// Threads are a pure throughput knob, so a snapshot written at one thread
+// count must resume at another (the fingerprint deliberately excludes it)
+// and still reproduce the run byte for byte.
 TEST(CheckpointResume, ResumeAcrossThroughputKnobs) {
-  WorldParams writer = tiny_params(52, /*threads=*/1, /*shards=*/2,
-                                   /*pipeline=*/false);
+  WorldParams writer = tiny_params(52, /*threads=*/1, /*shards=*/2);
   TempDir dir("knobs");
   DriveSpec cold_spec;
   cold_spec.checkpoint_dir = dir.str();
   cold_spec.checkpoint_every = 8;
   RunTrace cold = drive(writer, cold_spec);
-  WorldParams reader = tiny_params(52, /*threads=*/4, /*shards=*/2,
-                                   /*pipeline=*/true);
+  WorldParams reader = tiny_params(52, /*threads=*/4, /*shards=*/2);
   DriveSpec warm_spec;
   warm_spec.resume_from = dir.str();
   warm_spec.resume_window = 40;
   RunTrace warm = drive(reader, warm_spec);
   EXPECT_EQ(window_suffix(cold.signals, 40), warm.signals);
-  expect_same_final_state(cold, warm, "threads=1/pipeline=off snapshot "
-                                      "resumed at threads=4/pipeline=on");
+  expect_same_final_state(cold, warm,
+                          "threads=1 snapshot resumed at threads=4");
 }
 
 // --- the WAL tail ---
@@ -799,7 +826,8 @@ TEST(CheckpointResume, DecodedCountAndEnumRejectionTable) {
   {
     store::Decoder dec(engine_bytes);
     dec.str();
-    bgp::EpochTableView scratch;
+    dec.u64();  // table epoch
+    bgp::VpTableView scratch;
     scratch.load_state(dec);
     const std::size_t at = engine_bytes.size() - dec.remaining();
     huge_backlog.replace(at, 8, u64_bytes(std::uint64_t{1} << 62));

@@ -1,9 +1,9 @@
 // End-to-end determinism of the staleness engine's parallel window closing:
 // the signal stream, stale-pair set, and calibration state must be
-// bit-identical at any engine (shards, threads, pipeline) combination (the
-// determinism contract, DESIGN.md "Runtime & determinism", "Sharded
-// engine", and §10 "Epoch pipeline"), and two serial runs must be
-// byte-identical through the io/serialize text formats.
+// bit-identical at any engine (shards, threads) combination (the
+// determinism contract, DESIGN.md "Runtime & determinism" and "Sharded
+// engine"), and two serial runs must be byte-identical through the
+// io/serialize text formats.
 #include <gtest/gtest.h>
 
 #include <sstream>
@@ -19,7 +19,7 @@ namespace rrr::eval {
 namespace {
 
 WorldParams small_params(std::uint64_t seed, int engine_threads,
-                         int engine_shards = 1, bool pipeline = true) {
+                         int engine_shards = 1) {
   WorldParams params;
   params.days = 3;
   params.warmup_days = 1;
@@ -33,7 +33,6 @@ WorldParams small_params(std::uint64_t seed, int engine_threads,
   params.seed = seed;
   params.engine_threads = engine_threads;
   params.engine_shards = engine_shards;
-  params.pipeline_absorb = pipeline;
   // Telemetry on, so every run also carries a semantic-counter snapshot:
   // the obs::Domain::kSemantic metrics (signals emitted, potentials opened,
   // refreshes graded, ...) are part of the determinism contract, unlike the
@@ -85,10 +84,8 @@ fault::FaultPlan grid_fault_plan() {
 }
 
 RunTrace run_world(std::uint64_t seed, int engine_threads,
-                   int engine_shards = 1, bool faulted = false,
-                   bool pipeline = true) {
-  WorldParams params =
-      small_params(seed, engine_threads, engine_shards, pipeline);
+                   int engine_shards = 1, bool faulted = false) {
+  WorldParams params = small_params(seed, engine_threads, engine_shards);
   if (faulted) {
     params.fault_plan = grid_fault_plan();
     params.feed_health.enabled = true;
@@ -174,41 +171,35 @@ TEST(Determinism, ParallelRunMatchesSerialBytes) {
 
 // The tentpole contract: partitioning the corpus over shards must not
 // change a single byte of the output, whatever thread count runs the
-// shards and whether or not the epoch-table absorb is pipelined. Every
-// (shards, threads, pipeline) grid point is compared against the serial
-// single-shard run with the pipeline off — the exact pre-epoch schedule.
+// shards. Every (shards, threads) grid point is compared against the
+// serial single-shard run.
 TEST(Determinism, ShardGridMatchesSingleShardSerial) {
-  RunTrace baseline = run_world(15, 1, 1, /*faulted=*/false,
-                                /*pipeline=*/false);
+  RunTrace baseline = run_world(15, 1);
   ASSERT_GT(baseline.signals.size(), 0u)
       << "world too quiet to exercise the engine";
   for (int shards : {1, 2, 4}) {
     for (int threads : {1, 4}) {
-      for (bool pipeline : {false, true}) {
-        if (shards == 1 && threads == 1 && !pipeline) continue;
-        RunTrace run =
-            run_world(15, threads, shards, /*faulted=*/false, pipeline);
-        auto point = [&] {
-          std::ostringstream os;
-          os << "shards=" << shards << " threads=" << threads
-             << " pipeline=" << pipeline;
-          return os.str();
-        }();
-        EXPECT_EQ(baseline.signals, run.signals) << point;
-        EXPECT_EQ(baseline.stale, run.stale) << point;
-        EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
-            << point;
-        EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
-        // The semantic telemetry snapshot is part of the same contract: the
-        // counters describe the signal stream, so their JSON rendering must
-        // be byte-identical at every grid point (pipeline-only differences
-        // like absorb-wait spans live in the runtime domain).
-        EXPECT_EQ(baseline.semantic_stats, run.semantic_stats) << point;
-        // So is the intern dictionary: byte-identical dumps mean every grid
-        // point assigned every path/commset/collector id in the same order,
-        // i.e. all interner inserts really are confined to serial code.
-        EXPECT_EQ(baseline.interner_dict, run.interner_dict) << point;
-      }
+      if (shards == 1 && threads == 1) continue;
+      RunTrace run = run_world(15, threads, shards);
+      auto point = [&] {
+        std::ostringstream os;
+        os << "shards=" << shards << " threads=" << threads;
+        return os.str();
+      }();
+      EXPECT_EQ(baseline.signals, run.signals) << point;
+      EXPECT_EQ(baseline.stale, run.stale) << point;
+      EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
+          << point;
+      EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
+      // The semantic telemetry snapshot is part of the same contract: the
+      // counters describe the signal stream, so their JSON rendering must
+      // be byte-identical at every grid point (timing differences live in
+      // the runtime domain).
+      EXPECT_EQ(baseline.semantic_stats, run.semantic_stats) << point;
+      // So is the intern dictionary: byte-identical dumps mean every grid
+      // point assigned every path/commset/collector id in the same order,
+      // i.e. all interner inserts really are confined to serial code.
+      EXPECT_EQ(baseline.interner_dict, run.interner_dict) << point;
     }
   }
   EXPECT_NE(baseline.semantic_stats.find("rrr_signals_emitted_total"),
@@ -231,35 +222,30 @@ TEST(Determinism, ShardGridMatchesSingleShardSerial) {
 // signal stream, stale pairs, calibration, corpus bytes, and the semantic
 // telemetry (which now includes the rrr_fault_* and rrr_feed_* series).
 TEST(Determinism, FaultedGridMatchesSingleShardSerial) {
-  RunTrace baseline = run_world(16, 1, 1, /*faulted=*/true,
-                                /*pipeline=*/false);
+  RunTrace baseline = run_world(16, 1, 1, /*faulted=*/true);
   ASSERT_GT(baseline.fault_records_affected, 0)
       << "fault plan never fired; the grid comparison would be vacuous";
   ASSERT_GT(baseline.signals.size(), 0u)
       << "world too quiet to exercise the engine";
   for (int shards : {1, 2, 4}) {
     for (int threads : {1, 4}) {
-      for (bool pipeline : {false, true}) {
-        if (shards == 1 && threads == 1 && !pipeline) continue;
-        RunTrace run =
-            run_world(16, threads, shards, /*faulted=*/true, pipeline);
-        auto point = [&] {
-          std::ostringstream os;
-          os << "shards=" << shards << " threads=" << threads
-             << " pipeline=" << pipeline;
-          return os.str();
-        }();
-        EXPECT_EQ(baseline.signals, run.signals) << point;
-        EXPECT_EQ(baseline.stale, run.stale) << point;
-        EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
-            << point;
-        EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
-        EXPECT_EQ(baseline.semantic_stats, run.semantic_stats) << point;
-        EXPECT_EQ(baseline.interner_dict, run.interner_dict) << point;
-        EXPECT_EQ(baseline.fault_records_affected,
-                  run.fault_records_affected)
-            << point;
-      }
+      if (shards == 1 && threads == 1) continue;
+      RunTrace run = run_world(16, threads, shards, /*faulted=*/true);
+      auto point = [&] {
+        std::ostringstream os;
+        os << "shards=" << shards << " threads=" << threads;
+        return os.str();
+      }();
+      EXPECT_EQ(baseline.signals, run.signals) << point;
+      EXPECT_EQ(baseline.stale, run.stale) << point;
+      EXPECT_EQ(baseline.calibration_digest, run.calibration_digest)
+          << point;
+      EXPECT_EQ(baseline.corpus_bytes, run.corpus_bytes) << point;
+      EXPECT_EQ(baseline.semantic_stats, run.semantic_stats) << point;
+      EXPECT_EQ(baseline.interner_dict, run.interner_dict) << point;
+      EXPECT_EQ(baseline.fault_records_affected,
+                run.fault_records_affected)
+          << point;
     }
   }
   EXPECT_NE(baseline.semantic_stats.find("rrr_fault_bgp_records"),

@@ -9,9 +9,11 @@ Checks, in order:
      spans need ts/dur, "i" instants need ts, "M" metadata needs a name)
      and numeric fields are non-negative numbers.
   3. Expected span taxonomy is present: at least one "window" span
-     (cat "window"), and per window-close "dispatch"/"merge" spans plus
-     "shard_close" or the monitor subpath spans (cat "close"), and the
-     epoch-table "absorb_apply" span / "epoch_flip" instant (cat "table").
+     (cat "window"); the driver's per-window "feed" span (cat "driver");
+     per window-close "dispatch"/"absorb"/"merge" spans and the three
+     per-monitor "close_aspath"/"close_community"/"close_burst" spans
+     (cat "close"); and, with --require-shards, "shard_close" or the trace
+     monitors' close spans.
   4. Containment: every cat "close" event whose args.window == W falls
      inside the [ts, ts+dur] interval of the "window" span for that same
      window on some thread (the driver drains at the window boundary, so
@@ -25,7 +27,8 @@ import argparse
 import json
 import sys
 
-REQUIRED_CLOSE_NAMES = {"dispatch", "merge"}
+REQUIRED_CLOSE_NAMES = {"dispatch", "absorb", "merge", "close_aspath",
+                        "close_community", "close_burst"}
 SHARD_CLOSE_NAMES = {"shard_close", "close_subpath", "close_border",
                      "close_ixp"}
 
@@ -91,12 +94,9 @@ def check_taxonomy(events, require_shards):
     if require_shards and not (SHARD_CLOSE_NAMES & close_names):
         fail(f"no per-shard close span ({sorted(SHARD_CLOSE_NAMES)}); "
              f"saw {sorted(close_names)}")
-    table_names = {e["name"] for e in events if e.get("cat") == "table"}
-    if "absorb_apply" not in table_names:
-        fail(f"missing epoch-table absorb_apply span (saw "
-             f"{sorted(table_names)})")
-    if "epoch_flip" not in table_names:
-        fail(f"missing epoch_flip instant (saw {sorted(table_names)})")
+    driver_names = {e["name"] for e in spans if e.get("cat") == "driver"}
+    if "feed" not in driver_names:
+        fail(f"missing driver feed span (saw {sorted(driver_names)})")
     return window_spans
 
 
